@@ -16,9 +16,8 @@
 //! | Directory cache | 0.87 | 1.44 | 1.42 | 2.42 |
 //! | Creation affinity | 0.96 | 1.02 | 1.00 | 1.16 |
 //!
-//! Ten further rows ablate this reproduction's own extensions (no paper
-//! counterpart): the coalesced lookup+open RPC, the negative dentry
-//! cache, the coalesced lookup+stat RPC, the batched RPC transport,
+//! Eight further rows ablate this reproduction's own extensions (no paper
+//! counterpart): the negative dentry cache, the batched RPC transport,
 //! server-side chained path resolution, terminal-op fusion for chained
 //! resolution, the dynamic placement subsystem (whose win is skewed
 //! hot-directory workloads — `micro_skew` — not the fig suite; the row
@@ -36,15 +35,13 @@
 
 use hare_workloads::Workload;
 
-const TECHNIQUES: [(&str, &str); 15] = [
+const TECHNIQUES: [(&str, &str); 13] = [
     ("distribution", "Directory distribution"),
     ("broadcast", "Directory broadcast"),
     ("direct_access", "Direct cache access"),
     ("dircache", "Directory cache"),
     ("affinity", "Creation affinity"),
-    ("coalesced_open", "Coalesced lookup+open"),
     ("neg_dircache", "Negative dentry cache"),
-    ("coalesced_stat", "Coalesced lookup+stat"),
     ("batching", "Batched RPC transport"),
     ("chained_resolution", "Chained path resolution"),
     ("fused_terminal", "Fused chain terminal op"),

@@ -2,15 +2,16 @@
 //! `stat` hot path and the batched readdir+stat (`ls -l`) pattern, per
 //! technique configuration.
 //!
-//! This is the measurement harness for the coalesced `LookupStat` RPC and
+//! This is the measurement harness for the stat that rides the lookup and
 //! the batched RPC transport: it reports what one cold-cache `stat()`
-//! costs (the `LookupStat` win is depth+1 instead of depth+2 RPCs when the
-//! dentry shard also stores the inode), and what listing-and-statting a
-//! distributed directory costs (the batching win is one transport exchange
-//! per server instead of one RPC per entry). Results are printed as a
-//! table and written to `BENCH_micro_stat.json` so the repository keeps a
-//! measured trajectory; with `HARE_GATE_BASELINE` set, the run is gated
-//! against the committed baseline first (CI perf smoke).
+//! costs (one exchange for the resolution chain plus the fused stat when
+//! the final dentry shard also stores the inode), and what
+//! listing-and-statting a distributed directory costs (the batching win is
+//! one transport exchange per server instead of one RPC per entry).
+//! Results are printed as a table and written to `BENCH_micro_stat.json`
+//! so the repository keeps a measured trajectory; with
+//! `HARE_GATE_BASELINE` set, the run is gated against the committed
+//! baseline first (CI perf smoke).
 
 use fsapi::{MkdirOpts, Mode, ProcFs};
 use hare_core::{HareConfig, HareInstance, Techniques};
@@ -131,11 +132,6 @@ fn main() {
     let cores = hare_bench::max_cores().min(8);
     let rows = [
         measure("all", Techniques::default(), cores),
-        measure(
-            "no coalesced_stat",
-            Techniques::without("coalesced_stat"),
-            cores,
-        ),
         measure("no batching", Techniques::without("batching"), cores),
         measure("no dircache", Techniques::without("dircache"), cores),
     ];
@@ -173,17 +169,11 @@ fn main() {
         .collect();
     hare_bench::emit::emit_explained("micro_stat", cores, &configs, || explain(cores));
 
-    // The whole point of the fast paths: strictly fewer RPCs per op.
+    // The whole point of batching: strictly fewer exchanges per ls -l.
     assert!(
-        rows[0].stat_rpcs < rows[1].stat_rpcs,
-        "coalesced stat must save RPCs ({:.2} vs {:.2})",
-        rows[0].stat_rpcs,
-        rows[1].stat_rpcs
-    );
-    assert!(
-        rows[0].lsl_rpcs < rows[2].lsl_rpcs,
+        rows[0].lsl_rpcs < rows[1].lsl_rpcs,
         "batched readdir+stat must save exchanges ({:.2} vs {:.2})",
         rows[0].lsl_rpcs,
-        rows[2].lsl_rpcs
+        rows[1].lsl_rpcs
     );
 }

@@ -34,8 +34,9 @@
 //! `chained_resolution` technique is on and at least two uncached
 //! components remain (fusing the terminal stat/open/list into the chain
 //! when `fused_terminal` allows), and per-component `Lookup` calls
-//! otherwise — so the policy reads in one place per operation instead of
-//! being interleaved with transport plumbing.
+//! otherwise, the final component's carrying a stat/open terminal the
+//! chain did not — so the policy reads in one place per operation instead
+//! of being interleaved with transport plumbing.
 
 use super::{ClientLib, ClientState};
 use crate::proto::{Request, WireReply};

@@ -19,21 +19,22 @@ impl ClientLib {
         let mut st = self.state.lock();
         let excl = flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL);
 
-        // The fused fast path: one LookupPath chain resolving parents
-        // *and* final component, with the coalesced open executed by the
-        // final server — a cold deep open whose shards align is one
+        // Every open but O_CREAT|O_EXCL is one terminal walk: the request
+        // resolving the final component — a LookupPath chain covering
+        // parents *and* final component, or the final single Lookup —
+        // carries the open, executed by the answering server when the
+        // inode is local. A cold deep open whose shards align is one
         // end-to-end exchange. O_CREAT|O_EXCL keeps the probe-elision path
         // below (its create answers the existence question; a fused open
         // would open a descriptor just to report EEXIST).
-        let t = &self.params.techniques;
-        if !excl && t.chained_resolution && t.fused_terminal && t.coalesced_open {
+        if !excl {
             let (mut comps, name) = fsapi::path::split_parent(path)?;
             comps.push(name);
-            // O_CREAT rides the chain as a Create terminal: a missing
-            // final component is created by the final server (which owns
-            // its dentry shard — the coalesced placement) instead of
-            // bouncing ENOENT back, so the cold create-open is one
-            // exchange too. An existing name behaves exactly like Open.
+            // O_CREAT rides as a Create terminal: a chain's final server
+            // (which owns the dentry shard — the coalesced placement)
+            // creates a missing final component instead of bouncing
+            // ENOENT back, so the cold create-open is one exchange too. An
+            // existing name behaves exactly like Open.
             let terminal = if flags.contains(OpenFlags::CREAT) {
                 TerminalOp::Create { flags, mode }
             } else {
@@ -57,49 +58,29 @@ impl ClientLib {
             return self.finish_open(&mut st, out.parent, name, flags, mode, excl, existing);
         }
 
+        // O_CREAT|O_EXCL expects the name absent: when the create would be
+        // coalesced (inode placed at the dentry shard), skip the lookup
+        // probe RPC and let the create's atomic existence check answer
+        // instead — the maildir delivery pattern, where every spool name
+        // is fresh. A cross-server create failing EEXIST would churn an
+        // orphan inode (Create + AddMap + CloseFd + LinkDecref), so in that
+        // placement keep the probe-first path. The directory cache
+        // short-circuits names known present either way.
         let (dir, name) = self.resolve_parent(&mut st, path)?;
-
-        // The coalesced fast path resolves the final component and opens
-        // the target in one RPC when possible.
-        let existing = if self.params.techniques.coalesced_open {
-            if excl {
-                // O_CREAT|O_EXCL expects the name absent: when the create
-                // would be coalesced (inode placed at the dentry shard),
-                // skip the lookup probe RPC and let the create's atomic
-                // existence check answer instead — the maildir delivery
-                // pattern, where every spool name is fresh. A cross-server
-                // create failing EEXIST would churn an orphan inode
-                // (Create + AddMap + CloseFd + LinkDecref), so in that
-                // placement keep the probe-first path. The directory cache
-                // short-circuits names known present either way.
-                match self.consult_dircache(&mut st, dir.ino, name) {
-                    Some(Cached::Pos(_)) => return Err(Errno::EEXIST),
-                    // Known absent: go straight to the create.
-                    Some(Cached::Neg) => Err(Errno::ENOENT),
-                    None => {
-                        let shard = self.shard_of(dir.ino, dir.dist, name);
-                        if self.inode_server_for_create(shard) == shard {
-                            Err(Errno::ENOENT)
-                        } else {
-                            match self.lookup_child_uncached(&mut st, dir, name) {
-                                Ok(_) => return Err(Errno::EEXIST),
-                                Err(e) => Err(e),
-                            }
-                        }
+        let existing = match self.consult_dircache(&mut st, dir.ino, name) {
+            Some(Cached::Pos(_)) => return Err(Errno::EEXIST),
+            // Known absent: go straight to the create.
+            Some(Cached::Neg) => Err(Errno::ENOENT),
+            None => {
+                let shard = self.shard_of(dir.ino, dir.dist, name);
+                if self.inode_server_for_create(shard) == shard {
+                    Err(Errno::ENOENT)
+                } else {
+                    match self.lookup_child_uncached(&mut st, dir, name) {
+                        Ok(_) => return Err(Errno::EEXIST),
+                        Err(e) => Err(e),
                     }
                 }
-            } else {
-                self.lookup_open_fast(&mut st, dir, name, flags)
-            }
-        } else {
-            match self.lookup_child(&mut st, dir, name) {
-                Ok(d) => {
-                    if excl {
-                        return Err(Errno::EEXIST);
-                    }
-                    self.open_existing(&mut st, d, flags)
-                }
-                Err(e) => Err(e),
             }
         };
         self.finish_open(&mut st, dir, name, flags, mode, excl, existing)
@@ -107,7 +88,7 @@ impl ClientLib {
 
     /// The create tail of `open`: turns an ENOENT on the existing-file
     /// path into a creation when `O_CREAT` asks for one, handling the
-    /// create races. Shared by the fused-chain and per-component paths.
+    /// create races. Shared by the terminal-walk and `O_EXCL` paths.
     #[allow(clippy::too_many_arguments)]
     fn finish_open(
         &self,
@@ -142,63 +123,6 @@ impl ClientLib {
                 }
             }
             other => other,
-        }
-    }
-
-    /// Opens an existing file via the coalesced `LookupOpen` RPC (extends
-    /// §3.6.3 coalescing to open-existing): one round trip to the dentry
-    /// shard resolves the name and — when the inode lives there too, the
-    /// common case under creation affinity §3.6.4 — opens the descriptor.
-    /// Falls back to a separate `OpenInode` for remote inodes.
-    fn lookup_open_fast(
-        &self,
-        st: &mut ClientState,
-        dir: DirRef,
-        name: &str,
-        flags: OpenFlags,
-    ) -> FsResult<u32> {
-        match self.consult_dircache(st, dir.ino, name) {
-            // Cached dentry: go straight to the inode server.
-            Some(Cached::Pos(d)) => return self.open_existing(st, d, flags),
-            Some(Cached::Neg) => return Err(Errno::ENOENT),
-            None => {}
-        }
-        // Read-routed: a replica of the directory may answer. Only a
-        // home-served reply may enter the dircache (replicas keep no
-        // tracking lists, so a cached replica answer would never be
-        // invalidated).
-        let (wire, from_home) =
-            self.call_entry_read(dir.ino, dir.dist, name, |lib| Request::LookupOpen {
-                client: lib.params.id,
-                dir: dir.ino,
-                name: name.to_string(),
-                flags,
-            });
-        let got = expect_reply!(
-            wire,
-            Reply::LookupOpened { target, ftype, dist, open } =>
-                (CachedDentry { target, ftype, dist }, open)
-        );
-        match got {
-            Ok((d, open)) => {
-                if from_home && self.params.techniques.dircache {
-                    st.dircache.insert(dir.ino, name, d);
-                }
-                match open {
-                    Some(o) => self.install_fd(st, d.target, o, flags),
-                    // Remote inode (or non-file): complete with the
-                    // two-RPC path; `open_existing` raises EISDIR for
-                    // directories.
-                    None => self.open_existing(st, d, flags),
-                }
-            }
-            Err(Errno::ENOENT) => {
-                if from_home {
-                    self.cache_negative(st, dir.ino, name);
-                }
-                Err(Errno::ENOENT)
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -763,84 +687,26 @@ impl ClientLib {
         self.syscall();
         let mut st = self.state.lock();
         let comps = fsapi::path::components(path)?;
-        let Some((&name, parents)) = comps.split_last() else {
+        if comps.is_empty() {
             drop(st);
             return self.stat_inode(InodeId::ROOT);
-        };
-
-        // The fused fast path: one LookupPath chain resolving parents
-        // *and* final component, with the coalesced stat executed by the
-        // final server — a cold deep stat whose shards align is one
-        // end-to-end exchange.
-        let t = &self.params.techniques;
-        if t.chained_resolution && t.fused_terminal && t.coalesced_stat {
-            let out = self.run_op(
-                &mut st,
-                FusedPathOp::new(self.root_ref(), &comps, TerminalOp::Stat),
-            )?;
-            let d = out.dentry.ok_or(Errno::ENOENT)?;
-            drop(st);
-            return match out.term {
-                Some(TerminalReply::Stat(s)) => Ok(s),
-                // Remote inode: complete with the ordinary follow-up.
-                _ => self.stat_inode(d.target),
-            };
         }
 
-        let dir = self.resolve_dir(&mut st, parents)?;
-
-        // Cached dentry: go straight to the inode server.
-        match self.consult_dircache(&mut st, dir.ino, name) {
-            Some(Cached::Pos(d)) => {
-                drop(st);
-                return self.stat_inode(d.target);
-            }
-            Some(Cached::Neg) => return Err(Errno::ENOENT),
-            None => {}
-        }
-        if !self.params.techniques.coalesced_stat {
-            let d = self.lookup_child_uncached(&mut st, dir, name)?;
-            drop(st);
-            return self.stat_inode(d.target);
-        }
-
-        // Coalesced lookup+stat (the `stat` sibling of `lookup_open_fast`):
-        // one round trip to the dentry shard resolves the name and — when
-        // the inode lives there too — returns the metadata, for depth+1
-        // RPCs instead of depth+2.
-        // Read-routed: a replica of the directory may answer. Only
-        // home-served replies (positive or negative) may enter the
-        // dircache — see `lookup_open_fast`.
-        let (wire, from_home) =
-            self.call_entry_read(dir.ino, dir.dist, name, |lib| Request::LookupStat {
-                client: lib.params.id,
-                dir: dir.ino,
-                name: name.to_string(),
-            });
-        let got = expect_reply!(
-            wire,
-            Reply::LookupStated { target, ftype, dist, stat } =>
-                (CachedDentry { target, ftype, dist }, stat)
-        );
-        match got {
-            Ok((d, stat)) => {
-                if from_home && self.params.techniques.dircache {
-                    st.dircache.insert(dir.ino, name, d);
-                }
-                drop(st);
-                match stat {
-                    Some(s) => Ok(s),
-                    // Remote inode: complete with the two-RPC path.
-                    None => self.stat_inode(d.target),
-                }
-            }
-            Err(Errno::ENOENT) => {
-                if from_home {
-                    self.cache_negative(&mut st, dir.ino, name);
-                }
-                Err(Errno::ENOENT)
-            }
-            Err(e) => Err(e),
+        // One terminal walk: the request resolving the final component —
+        // a LookupPath chain covering parents *and* final component, or
+        // the final single Lookup — carries the stat, answered by that
+        // server when the inode is local. A cold deep stat whose shards
+        // align is one end-to-end exchange.
+        let out = self.run_op(
+            &mut st,
+            FusedPathOp::new(self.root_ref(), &comps, TerminalOp::Stat),
+        )?;
+        let d = out.dentry.ok_or(Errno::ENOENT)?;
+        drop(st);
+        match out.term {
+            Some(TerminalReply::Stat(s)) => Ok(s),
+            // Remote inode: complete with the ordinary follow-up.
+            _ => self.stat_inode(d.target),
         }
     }
 

@@ -15,12 +15,13 @@
 //!   the rest directly to the next owner, so the client pays one exchange
 //!   per run of co-located components instead of one round trip per
 //!   component.
-//! * **Terminal-op fusion** ([`FusedPathOp`]): with `fused_terminal` on,
-//!   the chain additionally carries the operation the walk was *for* —
-//!   the final component's coalesced stat/open, or the first shard of a
-//!   `readdir` listing — and the final server answers it in the same
-//!   exchange when its shards align. Cold deep `stat`/`open` becomes one
-//!   end-to-end exchange.
+//! * **Terminal ops** ([`FusedPathOp`]): a walk run for `stat`/`open`
+//!   carries the operation it is *for* on the request that resolves the
+//!   final component — a single [`Request::Lookup`] `{ terminal }`, or,
+//!   with `fused_terminal` on, the chain itself (which can also carry the
+//!   first shard of a `readdir` listing) — and the answering server
+//!   executes it in the same exchange when its shards align. Cold deep
+//!   `stat`/`open` becomes one end-to-end exchange.
 //! * **Pair resolution** ([`PairResolveOp`]): rename's two parent chains
 //!   advance in lockstep; per round the two frontier requests are
 //!   deduplicated — fully when the remainders are identical, and down to
@@ -121,10 +122,11 @@ impl ClientLib {
                 client: lib.params.id,
                 dir: dir.ino,
                 name: name.to_string(),
+                terminal: TerminalOp::None,
             });
         let got = expect_reply!(
             wire,
-            Reply::Lookup { target, ftype, dist } => CachedDentry { target, ftype, dist }
+            Reply::Lookup { target, ftype, dist, .. } => CachedDentry { target, ftype, dist }
         );
         match got {
             Ok(v) => {
@@ -200,11 +202,9 @@ enum Pending {
         /// Components the chain was asked to resolve.
         upto: usize,
     },
-    /// A single `Lookup` for the current (non-terminal) component.
+    /// A single `Lookup` for the current component (carrying the walk's
+    /// terminal op when that component is the final one).
     Single,
-    /// The final component's coalesced single RPC of a terminal walk
-    /// (`LookupStat`/`LookupOpen`, or a plain `Lookup` for `List`).
-    Terminal,
 }
 
 /// The path-walk state machine: one directory-component cursor advanced by
@@ -343,67 +343,30 @@ impl<'p> ResolveOp<'p> {
         let from_home = self.sent_replica.take().is_none();
         match std::mem::replace(&mut self.pending, Pending::Idle) {
             Pending::Single => {
-                let dir = self.cur.ino;
-                let name = self.comps[self.pos];
                 let got = expect_reply!(
                     reply,
-                    Reply::Lookup { target, ftype, dist } => CachedDentry { target, ftype, dist }
+                    Reply::Lookup { target, ftype, dist, term } =>
+                        (CachedDentry { target, ftype, dist }, term)
                 );
                 match got {
-                    Ok(v) => self.descend(lib, st, v, from_home),
+                    Ok((d, term)) if self.at_terminal() => {
+                        self.capture_final(lib, st, d, from_home);
+                        self.term = term;
+                        Ok(())
+                    }
+                    Ok((d, _)) => self.descend(lib, st, d, from_home),
+                    Err(Errno::ENOENT) if self.at_terminal() => {
+                        self.finish_absent(lib, st, from_home);
+                        Ok(())
+                    }
                     Err(Errno::ENOENT) => {
                         if from_home {
-                            lib.cache_negative(st, dir, name);
+                            lib.cache_negative(st, self.cur.ino, self.comps[self.pos]);
                         }
                         Err(Errno::ENOENT)
                     }
                     Err(e) => Err(e),
                 }
-            }
-            Pending::Terminal => {
-                // All three coalesced final-component replies carry a
-                // dentry plus an optional fused result.
-                let got = match reply {
-                    Ok(Reply::Lookup {
-                        target,
-                        ftype,
-                        dist,
-                    }) => ((target, ftype, dist), None),
-                    Ok(Reply::LookupStated {
-                        target,
-                        ftype,
-                        dist,
-                        stat,
-                    }) => ((target, ftype, dist), stat.map(TerminalReply::Stat)),
-                    Ok(Reply::LookupOpened {
-                        target,
-                        ftype,
-                        dist,
-                        open,
-                    }) => ((target, ftype, dist), open.map(TerminalReply::Open)),
-                    Ok(other) => {
-                        debug_assert!(false, "protocol mismatch: {other:?}");
-                        return Err(Errno::EIO);
-                    }
-                    Err(Errno::ENOENT) => {
-                        self.finish_absent(lib, st, from_home);
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                };
-                let ((target, ftype, dist), term) = got;
-                self.capture_final(
-                    lib,
-                    st,
-                    CachedDentry {
-                        target,
-                        ftype,
-                        dist,
-                    },
-                    from_home,
-                );
-                self.term = term;
-                Ok(())
             }
             Pending::Chain { upto } => {
                 let start = self.pos;
@@ -501,14 +464,25 @@ impl<'p> ResolveOp<'p> {
         Ok(self.pos == self.comps.len())
     }
 
+    /// How many components from the cursor a chain may cover: all of
+    /// them, except that without `fused_terminal` a terminal walk's chain
+    /// stops one short and the final component goes as a single `Lookup`
+    /// carrying the terminal op.
+    fn chain_len(&self, lib: &ClientLib) -> usize {
+        let end = if self.terminal != TerminalOp::None && !lib.params.techniques.fused_terminal {
+            self.comps.len() - 1
+        } else {
+            self.comps.len()
+        };
+        end.saturating_sub(self.pos)
+    }
+
     /// True when the next emission would be a chained `LookupPath`.
     /// Chaining pays off once two or more uncached components remain; a
     /// single component is exactly one round trip either way, and the
     /// single RPC parks correctly on deletion-marked directories.
     fn would_chain(&self, lib: &ClientLib) -> bool {
-        lib.params.techniques.chained_resolution
-            && self.comps.len() - self.pos >= 2
-            && !self.single_once
+        lib.params.techniques.chained_resolution && self.chain_len(lib) >= 2 && !self.single_once
     }
 
     /// Emits a chain covering the next `upto` components. Only a chain
@@ -551,17 +525,15 @@ impl<'p> ResolveOp<'p> {
         )
     }
 
-    /// Emits the single RPC for the current component: a plain `Lookup`
-    /// for intermediates, the coalesced terminal RPC for the final
-    /// component of a terminal walk.
+    /// Emits the single `Lookup` for the current component, carrying the
+    /// walk's terminal op when that component is the final one.
     fn single_request(&mut self, lib: &ClientLib) -> (ServerId, Request) {
         self.single_once = false;
         let name = self.comps[self.pos];
-        // Every single emission here is a read (the coalesced terminals
-        // included — a create degrades to the coalesced open), so a
-        // centralized component is read-routed over the directory's
-        // replica set; `sent_replica` remembers a non-home pick so the
-        // reply bypasses the dircache.
+        // Every single emission here is a read (a create terminal included
+        // — a single lookup never creates), so a centralized component is
+        // read-routed over the directory's replica set; `sent_replica`
+        // remembers a non-home pick so the reply bypasses the dircache.
         let shard = if self.cur.dist {
             lib.shard_of(self.cur.ino, true, name)
         } else {
@@ -572,40 +544,13 @@ impl<'p> ResolveOp<'p> {
             }
             s
         };
-        if self.at_terminal() {
-            self.pending = Pending::Terminal;
-            let req = match self.terminal {
-                TerminalOp::Stat => Request::LookupStat {
-                    client: lib.params.id,
-                    dir: self.cur.ino,
-                    name: name.to_string(),
-                },
-                TerminalOp::Open { flags } => Request::LookupOpen {
-                    client: lib.params.id,
-                    dir: self.cur.ino,
-                    name: name.to_string(),
-                    flags,
-                },
-                // The single-RPC form cannot create (only a chain's final
-                // server is known to own both halves of the coalesced
-                // placement): degrade to the coalesced open — an ENOENT
-                // falls through to the client's ordinary create tail.
-                TerminalOp::Create { flags, .. } => Request::LookupOpen {
-                    client: lib.params.id,
-                    dir: self.cur.ino,
-                    name: name.to_string(),
-                    flags,
-                },
-                // A listing's final single is a plain lookup (the shard
-                // server is not, in general, where the listing lives).
-                TerminalOp::List { .. } | TerminalOp::None => Request::Lookup {
-                    client: lib.params.id,
-                    dir: self.cur.ino,
-                    name: name.to_string(),
-                },
-            };
-            return (shard, req);
-        }
+        let terminal = match self.terminal {
+            // A listing's final single is a plain lookup (the shard server
+            // is not, in general, where the listing lives).
+            TerminalOp::List { .. } => TerminalOp::None,
+            t if self.at_terminal() => t,
+            _ => TerminalOp::None,
+        };
         self.pending = Pending::Single;
         (
             shard,
@@ -613,6 +558,7 @@ impl<'p> ResolveOp<'p> {
                 client: lib.params.id,
                 dir: self.cur.ino,
                 name: name.to_string(),
+                terminal,
             },
         )
     }
@@ -630,7 +576,7 @@ impl<'p> ResolveOp<'p> {
             return Ok(None);
         }
         if self.would_chain(lib) {
-            let upto = self.comps.len() - self.pos;
+            let upto = self.chain_len(lib);
             return Ok(Some(self.chain_request(lib, upto)));
         }
         Ok(Some(self.single_request(lib)))
@@ -684,7 +630,8 @@ pub(crate) struct FusedOut {
 
 /// A full-path walk with a fused terminal: resolves `comps` (parents *and*
 /// final component, favoring a single `LookupPath` chain that carries the
-/// terminal op) and reports the final dentry plus any fused result.
+/// terminal op, else per-component `Lookup`s whose last one carries it)
+/// and reports the final dentry plus any fused result.
 /// Mid-path errors abort the op; a final-component ENOENT completes with
 /// `dentry: None` so callers keep the resolved parent.
 pub(crate) struct FusedPathOp<'p>(ResolveOp<'p>);
@@ -881,7 +828,7 @@ impl MultiStepOp for PairResolveOp<'_> {
                     continue;
                 }
                 let req = if self.ops[i].would_chain(lib) {
-                    let upto = self.ops[i].comps.len() - self.ops[i].pos;
+                    let upto = self.ops[i].chain_len(lib);
                     self.ops[i].chain_request(lib, upto)
                 } else {
                     self.ops[i].single_request(lib)

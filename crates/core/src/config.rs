@@ -2,29 +2,26 @@
 
 use vtime::{CostModel, Topology};
 
-/// The five techniques the paper ablates in §5.4 (Figure 9), plus seven
+/// The five techniques the paper ablates in §5.4 (Figure 9), plus eight
 /// extensions this reproduction adds in the same spirit.
 ///
 /// Each toggle removes one optimization while keeping the system correct,
 /// which is exactly how the paper measures technique importance.
 ///
+/// Not a toggle: the paper's §3.6.3 message coalescing is always extended
+/// from `create` to *open-existing* and `stat`. The final component's
+/// `Lookup` carries the stat/open it is for, and when the dentry shard
+/// also stores the inode (the common case under creation affinity §3.6.4)
+/// the server answers both in one round trip; a remote inode costs the
+/// ordinary `StatInode`/`OpenInode` follow-up.
+///
 /// The extensions:
 ///
-/// * `coalesced_open` extends the paper's §3.6.3 message coalescing from
-///   `create` to *open-existing*: when the dentry shard and the inode
-///   server coincide (the common case under creation affinity §3.6.4), the
-///   final-component lookup and the descriptor open travel as one
-///   `LookupOpen` RPC instead of a `Lookup` + `OpenInode` pair.
 /// * `neg_dircache` extends the §3.6.1 directory cache to *negative*
 ///   entries: an ENOENT lookup result is cached and invalidated by the
 ///   server on a later ADD_MAP, so `O_CREAT` existence probes and
 ///   create-heavy workloads (mailbench) stop re-asking servers about names
 ///   known to be absent.
-/// * `coalesced_stat` is the `stat` sibling of `coalesced_open`: the
-///   final-component lookup and the `StatInode` travel as one `LookupStat`
-///   RPC when the dentry shard also stores the inode, cutting a cold
-///   `stat` from depth+2 to depth+1 RPCs (the client falls back to the
-///   two-RPC path for remote inodes).
 /// * `batching` is the batched RPC transport: independent requests bound
 ///   for the same server ship as one `Batch` message executed in order,
 ///   paying one message overhead (receive, reply send, context switch) for
@@ -48,9 +45,9 @@ use vtime::{CostModel, Topology};
 ///   replies directly — a cold deep `stat`/`open` whose shards align is
 ///   one end-to-end exchange. When the terminal inode lives elsewhere the
 ///   chain degrades to the resolved dentry and the client pays the
-///   ordinary follow-up RPC. When off, the chain resolves and the client
-///   issues the coalesced final-component RPC separately (the PR 3
-///   protocol).
+///   ordinary follow-up RPC. When off, the chain stops one component
+///   short and the final component goes as its own single `Lookup`
+///   carrying the stat/open (chain-then-call, one extra exchange).
 /// * `rebalancing` is the dynamic placement subsystem (`crate::placement`):
 ///   epoch-versioned routing tables, live migration of a hot centralized
 ///   directory's dentry shard to the least-loaded server, and `NotOwner`
@@ -77,17 +74,9 @@ pub struct Techniques {
     /// Creation affinity (§3.6.4): place a new file's inode on a server
     /// close to the creating core.
     pub affinity: bool,
-    /// Coalesced lookup+open for existing files (extends §3.6.3): when off,
-    /// opening an existing file always pays separate `Lookup` and
-    /// `OpenInode` round trips.
-    pub coalesced_open: bool,
     /// Negative directory-entry caching (extends §3.6.1): when off, every
     /// ENOENT miss re-probes the dentry shard. Requires `dircache`.
     pub neg_dircache: bool,
-    /// Coalesced lookup+stat (extends §3.6.3 like `coalesced_open`): when
-    /// off, `stat` of an uncached name always pays separate `Lookup` and
-    /// `StatInode` round trips.
-    pub coalesced_stat: bool,
     /// Batched RPC transport: when off, requests that would share a
     /// `Batch` message to one server are issued as independent RPCs.
     pub batching: bool,
@@ -96,10 +85,10 @@ pub struct Techniques {
     /// trip per uncached component (the paper's §3.6.1 protocol).
     pub chained_resolution: bool,
     /// Terminal-op fusion for chained resolution: the final server of a
-    /// `LookupPath` chain executes the coalesced stat/open (or lists its
-    /// shard of the target directory) in the same exchange. Inert without
-    /// `chained_resolution`; the stat/open terminals also respect
-    /// `coalesced_stat`/`coalesced_open`.
+    /// `LookupPath` chain executes the stat/open (or lists its shard of
+    /// the target directory) in the same exchange. When off, the final
+    /// component's stat/open rides its own single `Lookup` instead. Inert
+    /// without `chained_resolution`.
     pub fused_terminal: bool,
     /// The dynamic placement subsystem: when off, the rebalancer and the
     /// migration driver are no-ops and the routing tables stay at epoch 0
@@ -136,9 +125,7 @@ impl Default for Techniques {
             direct_access: true,
             dircache: true,
             affinity: true,
-            coalesced_open: true,
             neg_dircache: true,
-            coalesced_stat: true,
             batching: true,
             chained_resolution: true,
             fused_terminal: true,
@@ -165,9 +152,7 @@ impl Techniques {
                 t.neg_dircache = false;
             }
             "affinity" => t.affinity = false,
-            "coalesced_open" => t.coalesced_open = false,
             "neg_dircache" => t.neg_dircache = false,
-            "coalesced_stat" => t.coalesced_stat = false,
             "batching" => t.batching = false,
             "chained_resolution" => t.chained_resolution = false,
             "fused_terminal" => t.fused_terminal = false,
@@ -373,28 +358,24 @@ mod tests {
         let t = Techniques::without("broadcast");
         assert!(!t.broadcast);
         assert!(t.distribution && t.direct_access && t.dircache && t.affinity);
-        assert!(t.coalesced_open && t.neg_dircache);
+        assert!(t.neg_dircache && t.batching);
     }
 
     #[test]
     fn new_technique_toggles() {
-        let t = Techniques::without("coalesced_open");
-        assert!(!t.coalesced_open && t.neg_dircache && t.dircache);
         let t = Techniques::without("neg_dircache");
-        assert!(!t.neg_dircache && t.coalesced_open && t.dircache);
+        assert!(!t.neg_dircache && t.dircache && t.batching);
         // Disabling the directory cache disables the negative cache too.
         let t = Techniques::without("dircache");
         assert!(!t.dircache && !t.neg_dircache);
-        let t = Techniques::without("coalesced_stat");
-        assert!(!t.coalesced_stat && t.coalesced_open && t.batching);
         let t = Techniques::without("batching");
-        assert!(!t.batching && t.coalesced_stat && t.broadcast);
+        assert!(!t.batching && t.neg_dircache && t.broadcast);
         let t = Techniques::without("chained_resolution");
         assert!(!t.chained_resolution && t.batching && t.dircache);
         // fused_terminal stays on (it is simply inert without chaining).
         assert!(t.fused_terminal);
         let t = Techniques::without("fused_terminal");
-        assert!(!t.fused_terminal && t.chained_resolution && t.coalesced_stat);
+        assert!(!t.fused_terminal && t.chained_resolution && t.batching);
         let t = Techniques::without("rebalancing");
         assert!(!t.rebalancing && t.chained_resolution && t.fused_terminal);
         let t = Techniques::without("striping");

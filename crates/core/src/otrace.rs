@@ -779,7 +779,7 @@ mod tests {
         let replay = t.replay_ctx(Some(ctx)).unwrap();
         assert_eq!(replay.cause, Cause::ParkReplay);
         assert!(replay.idx > ctx.idx);
-        assert!(t.begin_from(Some(replay), "LookupStat", 1, 90));
+        assert!(t.begin_from(Some(replay), "Lookup", 1, 90));
         t.charge_send();
         t.end_span(120);
         t.end_op(130);

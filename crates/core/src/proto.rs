@@ -9,14 +9,16 @@
 //! Several requests are *coalesced* forms: [`Request::Create`] performs
 //! inode creation, directory-entry insertion, and descriptor open in one
 //! message when the dentry and inode land on the same server
-//! (message coalescing, paper §3.6.3). [`Request::LookupOpen`] extends the
-//! same idea to the open-existing path: it resolves the final pathname
-//! component at the dentry shard and, when the target inode happens to live
-//! on that same server (the common case under creation affinity §3.6.4),
-//! opens a descriptor in the same round trip. The reply always carries the
-//! lookup result; `open` is `None` when the inode is remote (the client
-//! falls back to a separate [`Request::OpenInode`]) or the target is not a
-//! regular file.
+//! (message coalescing, paper §3.6.3). [`Request::Lookup`] extends the
+//! same idea to the rest of the final pathname component's work: besides
+//! resolving `(dir, name)` at the dentry shard, it may carry a
+//! [`TerminalOp`] — the `stat` or `open` the lookup was for — which the
+//! server executes in the same round trip when the target inode happens
+//! to live on that same server (the common case under creation affinity
+//! §3.6.4). The reply always carries the lookup result; its `term` is
+//! `None` when the inode is remote (the client falls back to a separate
+//! [`Request::StatInode`] / [`Request::OpenInode`]) or an open's target
+//! is not a regular file.
 //!
 //! Bulk payloads ([`Request::WriteData`], [`Request::PipeWrite`],
 //! [`Reply::Data`]) travel as `Arc<[u8]>` so the msg layer, parked pipe
@@ -43,16 +45,16 @@
 //! reply channel travels with the request) and bounded by an explicit hop
 //! budget (`ELOOP` beyond it).
 //!
-//! A chain may additionally carry a [`TerminalOp`]: the operation the walk
-//! was *for* (the final component's coalesced stat/open, or the first
-//! shard of a `readdir` listing). The server that resolves the last
-//! component executes it — strictly locally, against its own inode shard —
-//! and returns the result in the same [`Reply::Path`], so a cold deep
-//! `stat` or `open` whose shards align is **one end-to-end exchange**. When
-//! the terminal inode lives elsewhere the server answers the resolved
-//! dentry alone (`term: None`) and the client completes with the ordinary
-//! follow-up RPC; the terminal op never adds a forward, so the feed-forward
-//! deadlock argument is untouched.
+//! A chain carries the same [`TerminalOp`] as a single lookup (or, for
+//! a `readdir`, the request for the first shard of the listing). The
+//! server that resolves the last component executes it — strictly
+//! locally, against its own inode shard — and returns the result in the
+//! same [`Reply::Path`], so a cold deep `stat` or `open` whose shards
+//! align is **one end-to-end exchange**. When the terminal inode lives
+//! elsewhere the server answers the resolved dentry alone (`term: None`)
+//! and the client completes with the ordinary follow-up RPC; the terminal
+//! op never adds a forward, so the feed-forward deadlock argument is
+//! untouched.
 
 use crate::types::{ClientId, FdId, InodeId, ServerId};
 use fsapi::{DirEntry, Errno, FileType, Mode, OpenFlags, Stat, Whence};
@@ -96,38 +98,40 @@ pub struct PathEntry {
     pub replica: bool,
 }
 
-/// The operation fused into the tail of a chained [`Request::LookupPath`]
-/// walk (the `fused_terminal` technique): what the client actually wanted
-/// the resolution *for*. The server that resolves the final component
-/// executes it locally when it can and returns a [`TerminalReply`] in the
-/// same [`Reply::Path`]; otherwise it answers the resolved dentry alone
-/// and the client falls back to the ordinary follow-up RPC. Execution is
-/// strictly local — a terminal op never forwards to a peer — so the
-/// chain's feed-forward no-deadlock argument is unchanged.
+/// The operation fused into the final component's resolution: what the
+/// client actually wanted the lookup *for*. It rides a single
+/// [`Request::Lookup`] of that component or, with the `fused_terminal`
+/// technique, the tail of a chained [`Request::LookupPath`] walk. The
+/// server that resolves the final component executes it locally when it
+/// can and returns a [`TerminalReply`] in the same reply; otherwise it
+/// answers the resolved dentry alone and the client falls back to the
+/// ordinary follow-up RPC. Execution is strictly local — a terminal op
+/// never forwards to a peer — so the chain's feed-forward no-deadlock
+/// argument is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminalOp {
     /// Pure resolution; the walk has no fused tail.
     None,
-    /// `stat` of the final component (the chained form of
-    /// [`Request::LookupStat`]): answered when the target inode lives on
-    /// the final server.
+    /// `stat` of the final component: answered when the target inode
+    /// lives on the final server.
     Stat,
-    /// `open` of the final component (the chained form of
-    /// [`Request::LookupOpen`]): answered when the target is a regular
-    /// file whose inode lives on the final server.
+    /// `open` of the final component: answered when the target is a
+    /// regular file whose inode lives on the final server.
     Open {
         /// Open flags for the coalesced open (handles `O_TRUNC`).
         flags: OpenFlags,
     },
     /// `open(O_CREAT)` of the final component: like [`TerminalOp::Open`]
-    /// when the name exists, but a *missing* final component is created —
-    /// inode, directory entry, and descriptor in one coalesced step, the
-    /// chained form of [`Request::Create`] with `add_map` + `open` — so a
-    /// cold create-open whose shards align is one end-to-end exchange. The
-    /// final server is by construction the dentry shard owner; creation is
-    /// answered only when the placement policy would also put the inode
-    /// there (otherwise the walk reports `ENOENT` as usual and the client
-    /// runs the ordinary affinity-placed create). Never used for
+    /// when the name exists, but on a chain a *missing* final component is
+    /// created — inode, directory entry, and descriptor in one coalesced
+    /// step, the chained form of [`Request::Create`] with `add_map` +
+    /// `open` — so a cold create-open whose shards align is one end-to-end
+    /// exchange. The final server is by construction the dentry shard
+    /// owner; creation is answered only when the placement policy would
+    /// also put the inode there (otherwise the walk reports `ENOENT` as
+    /// usual and the client runs the ordinary affinity-placed create). A
+    /// single [`Request::Lookup`] never creates: a missing name is
+    /// `ENOENT` and the client's create tail takes over. Never used for
     /// `O_CREAT|O_EXCL`, whose probe-elision path answers the existence
     /// question through a plain create.
     Create {
@@ -137,7 +141,7 @@ pub enum TerminalOp {
         mode: Mode,
     },
     /// The final server's shard of the target directory's listing (the
-    /// chained head of a `readdir` fan-out): the client then only fans
+    /// chained head of a `readdir` fan-out; chains only): the client then only fans
     /// [`Request::ListShard`] to the *other* servers. With `plus`, the
     /// server additionally stats every listed entry whose inode it stores
     /// (the `readdir_plus` / `ls -l` fusion), so those entries need no
@@ -148,7 +152,8 @@ pub enum TerminalOp {
     },
 }
 
-/// A fused terminal result, carried in [`Reply::Path::term`].
+/// A fused terminal result, carried in [`Reply::Lookup::term`] or
+/// [`Reply::Path::term`].
 #[derive(Debug, Clone)]
 pub enum TerminalReply {
     /// The coalesced stat.
@@ -230,7 +235,12 @@ pub enum Request {
     // ----- Directory entries (this server is the shard for (dir, name)) --
     /// `lookup(dir, name) -> (server, inode)` (paper §3.6.1). The server
     /// records the client in the entry's tracking list for future
-    /// invalidations.
+    /// invalidations — misses included, so negative cache entries receive
+    /// invalidations too. With a `terminal` other than
+    /// [`TerminalOp::None`] the server also executes the final
+    /// component's stat/open when the target inode is stored here (see
+    /// [`TerminalOp`]), extending §3.6.3 message coalescing to the
+    /// open-existing and stat paths.
     Lookup {
         /// Requesting client (tracked for invalidation).
         client: ClientId,
@@ -238,6 +248,8 @@ pub enum Request {
         dir: InodeId,
         /// Entry name.
         name: String,
+        /// The fused final-component operation.
+        terminal: TerminalOp,
     },
     /// Inserts a directory entry (the paper's ADD_MAP). With `replace`,
     /// atomically replaces an existing non-directory target (rename).
@@ -271,35 +283,6 @@ pub enum Request {
         /// `unlink` sets this so directories are rejected with `EISDIR`;
         /// `rmdir`/`rename` cleanup clears it.
         must_be_file: bool,
-    },
-    /// Coalesced `lookup` + `open` of the final pathname component
-    /// (extends §3.6.3 message coalescing to the open-existing path). The
-    /// server resolves `(dir, name)` and, when the target is a regular file
-    /// whose inode it also stores, opens a descriptor in the same message.
-    /// Misses are tracked like [`Request::Lookup`] so negative cache
-    /// entries receive invalidations.
-    LookupOpen {
-        /// Requesting client (tracked for invalidation).
-        client: ClientId,
-        /// Parent directory inode.
-        dir: InodeId,
-        /// Entry name.
-        name: String,
-        /// Open flags for the coalesced open (handles `O_TRUNC`).
-        flags: OpenFlags,
-    },
-    /// Coalesced `lookup` + `stat` of the final pathname component (the
-    /// `stat` sibling of [`Request::LookupOpen`]). The server resolves
-    /// `(dir, name)` and, when the target inode also lives here, returns
-    /// its metadata in the same round trip. Misses are tracked like
-    /// [`Request::Lookup`] so negative cache entries receive invalidations.
-    LookupStat {
-        /// Requesting client (tracked for invalidation).
-        client: ClientId,
-        /// Parent directory inode.
-        dir: InodeId,
-        /// Entry name.
-        name: String,
     },
     /// Lists this server's shard of a directory (`readdir` fan-out,
     /// paper §3.6.2), one bounded page at a time.
@@ -788,7 +771,7 @@ pub enum Reply {
     /// Generic acknowledgment.
     Unit,
     /// Lookup hit: target inode, its type, and (for directories) the
-    /// distribution flag.
+    /// distribution flag, plus the request's fused terminal result.
     Lookup {
         /// Target inode.
         target: InodeId,
@@ -796,32 +779,11 @@ pub enum Reply {
         ftype: FileType,
         /// Distribution flag for directory targets.
         dist: bool,
-    },
-    /// Coalesced lookup+stat result. `stat` is present only when the
-    /// target inode is stored on the answering server; otherwise the
-    /// client completes with a separate [`Request::StatInode`].
-    LookupStated {
-        /// Target inode.
-        target: InodeId,
-        /// Target type.
-        ftype: FileType,
-        /// Distribution flag for directory targets.
-        dist: bool,
-        /// The coalesced stat, when the inode was local.
-        stat: Option<Stat>,
-    },
-    /// Coalesced lookup+open result. `open` is present only when the
-    /// target was a regular file stored on the answering server; otherwise
-    /// the client completes the open with a separate [`Request::OpenInode`].
-    LookupOpened {
-        /// Target inode.
-        target: InodeId,
-        /// Target type.
-        ftype: FileType,
-        /// Distribution flag for directory targets.
-        dist: bool,
-        /// The coalesced open, when the inode was local.
-        open: Option<OpenResult>,
+        /// The fused stat/open, present only when the request carried a
+        /// [`TerminalOp`] and the target inode was local; otherwise the
+        /// client completes with a separate [`Request::StatInode`] /
+        /// [`Request::OpenInode`].
+        term: Option<TerminalReply>,
     },
     /// ADD_MAP done; carries the replaced target for rename cleanup.
     AddMapped {
@@ -990,8 +952,6 @@ impl Request {
             Request::Lookup { .. } => "Lookup",
             Request::AddMap { .. } => "AddMap",
             Request::RmMap { .. } => "RmMap",
-            Request::LookupOpen { .. } => "LookupOpen",
-            Request::LookupStat { .. } => "LookupStat",
             Request::ListShard { .. } => "ListShard",
             Request::LookupPath { .. } => "LookupPath",
             Request::Batch { .. } => "Batch",
@@ -1060,7 +1020,8 @@ impl std::fmt::Debug for ServerMsg {
 }
 
 /// Service cycles of resolving one directory entry at a server — the base
-/// cost of [`Request::Lookup`] and its coalesced/chained variants, and the
+/// cost of [`Request::Lookup`] (its handler adds the terminal's stat or
+/// open half only when that half actually executes), and the
 /// per-component charge of a [`Request::LookupPath`] walk (so chained and
 /// per-component resolution stay comparable if this is ever retuned).
 pub const LOOKUP_SERVICE_COST: u64 = 600;
@@ -1072,12 +1033,6 @@ pub fn base_service_cost(req: &Request) -> u64 {
     match req {
         Request::Register { .. } | Request::Unregister { .. } => 200,
         Request::Lookup { .. } => LOOKUP_SERVICE_COST,
-        // The lookup half; the handler adds the open half only when it
-        // actually coalesces (local regular-file target).
-        Request::LookupOpen { .. } => LOOKUP_SERVICE_COST,
-        // The lookup half; the handler adds the stat half only when the
-        // target inode is local.
-        Request::LookupStat { .. } => LOOKUP_SERVICE_COST,
         // The chain envelope (routing + guard checks); the handler adds
         // the per-component lookup cost for every component it resolves
         // locally, so one server resolving k components costs what k

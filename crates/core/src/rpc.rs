@@ -68,11 +68,9 @@ pub fn oneway_reply_slot(
 /// terminal follow-ups are recognizable from the request alone.
 fn cause_of(req: &Request) -> Cause {
     match req {
-        Request::Lookup { .. }
-        | Request::LookupOpen { .. }
-        | Request::LookupStat { .. }
-        | Request::LookupPath { .. }
-        | Request::ListShard { .. } => Cause::Resolve,
+        Request::Lookup { .. } | Request::LookupPath { .. } | Request::ListShard { .. } => {
+            Cause::Resolve
+        }
         Request::Batch { .. } => Cause::BatchRide,
         Request::OpenInode { .. } | Request::StatInode { .. } | Request::Create { .. } => {
             Cause::Terminal

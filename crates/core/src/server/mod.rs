@@ -258,8 +258,6 @@ impl Server {
     fn marked_dir_of(req: &Request) -> Option<InodeId> {
         match req {
             Request::Lookup { dir, .. }
-            | Request::LookupOpen { dir, .. }
-            | Request::LookupStat { dir, .. }
             | Request::LookupPath { dir, .. }
             | Request::AddMap { dir, .. }
             | Request::RmMap { dir, .. }
@@ -481,16 +479,12 @@ impl Server {
                 self.dentries.untrack_client(client);
                 Some(Ok(Reply::Unit))
             }
-            Request::Lookup { client, dir, name } => Some(self.op_lookup(client, dir, &name, ctx)),
-            Request::LookupOpen {
+            Request::Lookup {
                 client,
                 dir,
                 name,
-                flags,
-            } => Some(self.op_lookup_open(client, dir, &name, flags, ctx)),
-            Request::LookupStat { client, dir, name } => {
-                Some(self.op_lookup_stat(client, dir, &name, ctx))
-            }
+                terminal,
+            } => Some(self.op_lookup(client, dir, &name, terminal, ctx)),
             Request::LookupPath {
                 client,
                 dir,
@@ -740,8 +734,6 @@ impl Server {
         // would move with the directory's dentry shard if it migrated.
         let dir = match req {
             Request::Lookup { dir, .. }
-            | Request::LookupOpen { dir, .. }
-            | Request::LookupStat { dir, .. }
             | Request::AddMap { dir, .. }
             | Request::RmMap { dir, .. }
             | Request::ListShard { dir, .. } => Some(*dir),
@@ -1122,211 +1114,59 @@ impl Server {
 
     // ----- Directory entry operations ------------------------------------
 
+    /// `lookup(dir, name)` plus its fused `terminal`: resolves the entry
+    /// (at the home shard, or from a read replica) and then runs the
+    /// terminal's stat/open through [`Server::exec_terminal`], which
+    /// answers it only when the target inode is stored here. The terminal
+    /// half never creates — a missing name is `ENOENT` whatever the
+    /// terminal — and a failing local attempt degrades to lookup-only and
+    /// charges nothing extra, so the client still caches the dentry and
+    /// its fallback `StatInode`/`OpenInode` reproduces the authoritative
+    /// error.
     fn op_lookup(
         &mut self,
         client: ClientId,
         dir: InodeId,
         name: &str,
+        terminal: TerminalOp,
         ctx: &mut Ctx,
     ) -> WireReply {
         // A read replica answers before the ownership guard: the client
         // routed here *because* this server holds a copy, not the shard.
         // Served without tracking — replica reads are never client-cached,
         // so there is nothing to invalidate.
-        if let Some(hit) = self.replicas.lookup(dir, name) {
-            return match hit {
-                Some(v) => Ok(Reply::Lookup {
-                    target: v.target,
-                    ftype: v.ftype,
-                    dist: v.dist,
-                }),
-                None => Err(Errno::ENOENT),
-            };
-        }
-        if let Some(r) = self.not_owner(dir) {
-            return r;
-        }
-        if self.dentries.is_tombstoned(dir) {
-            return Err(Errno::ENOENT);
-        }
-        match self.dentries.lookup(dir, name) {
-            Some(v) => {
-                self.track_entry(dir, name, client, ctx);
-                Ok(Reply::Lookup {
-                    target: v.target,
-                    ftype: v.ftype,
-                    dist: v.dist,
-                })
-            }
+        let (v, replica) = match self.replicas.lookup(dir, name) {
+            Some(hit) => (hit.ok_or(Errno::ENOENT)?, true),
             None => {
-                // Track the miss too: a client caching the ENOENT
-                // (negative dentry) must be invalidated when the name is
-                // later created. Gated so the ablation sheds this state.
-                if self.neg_dircache {
+                if let Some(r) = self.not_owner(dir) {
+                    return r;
+                }
+                if self.dentries.is_tombstoned(dir) {
+                    return Err(Errno::ENOENT);
+                }
+                // Track hits and misses alike: a client caching the
+                // ENOENT (negative dentry) must be invalidated when the
+                // name is later created. Gated so the ablation sheds this
+                // state.
+                let hit = self.dentries.lookup(dir, name);
+                if hit.is_some() || self.neg_dircache {
                     self.track_entry(dir, name, client, ctx);
                 }
-                Err(Errno::ENOENT)
+                (hit.ok_or(Errno::ENOENT)?, false)
             }
-        }
-    }
-
-    /// Coalesced lookup+open (extends §3.6.3 to the open-existing path):
-    /// resolves the entry and, when its inode is local and a regular file,
-    /// opens a descriptor in the same round trip.
-    fn op_lookup_open(
-        &mut self,
-        client: ClientId,
-        dir: InodeId,
-        name: &str,
-        flags: OpenFlags,
-        ctx: &mut Ctx,
-    ) -> WireReply {
-        // Replica-served, untracked — see [`Server::op_lookup`]. The open
-        // half still fuses when the inode happens to live here.
-        if let Some(hit) = self.replicas.lookup(dir, name) {
-            return match hit {
-                Some(v) => {
-                    let open = if v.ftype == FileType::Regular && v.target.server == self.id {
-                        match self.open_local_file(v.target.num, flags, ctx) {
-                            Ok(o) => {
-                                ctx.extra += 700;
-                                Some(o)
-                            }
-                            Err(_) => None,
-                        }
-                    } else {
-                        None
-                    };
-                    Ok(Reply::LookupOpened {
-                        target: v.target,
-                        ftype: v.ftype,
-                        dist: v.dist,
-                        open,
-                    })
-                }
-                None => Err(Errno::ENOENT),
-            };
-        }
-        if let Some(r) = self.not_owner(dir) {
-            return r;
-        }
-        if self.dentries.is_tombstoned(dir) {
-            return Err(Errno::ENOENT);
-        }
-        match self.dentries.lookup(dir, name) {
-            Some(v) => {
-                self.track_entry(dir, name, client, ctx);
-                let open = if v.ftype == FileType::Regular && v.target.server == self.id {
-                    // The open half of the coalesced message (cheaper than
-                    // a standalone OpenInode: no second dispatch). A
-                    // failing open (EACCES) degrades to lookup-only — and
-                    // charges nothing extra — so the client still caches
-                    // the dentry; its fallback OpenInode reproduces the
-                    // authoritative error.
-                    match self.open_local_file(v.target.num, flags, ctx) {
-                        Ok(o) => {
-                            ctx.extra += 700;
-                            Some(o)
-                        }
-                        Err(_) => None,
-                    }
-                } else {
-                    None
-                };
-                Ok(Reply::LookupOpened {
-                    target: v.target,
-                    ftype: v.ftype,
-                    dist: v.dist,
-                    open,
-                })
-            }
-            None => {
-                // Track the miss for negative-cache invalidation.
-                if self.neg_dircache {
-                    self.track_entry(dir, name, client, ctx);
-                }
-                Err(Errno::ENOENT)
-            }
-        }
-    }
-
-    /// Coalesced lookup+stat (the `stat` sibling of
-    /// [`Server::op_lookup_open`]): resolves the entry and, when its inode
-    /// is stored here, returns the metadata in the same round trip. Unlike
-    /// the open variant there is no type restriction — directories and
-    /// files stat alike.
-    fn op_lookup_stat(
-        &mut self,
-        client: ClientId,
-        dir: InodeId,
-        name: &str,
-        ctx: &mut Ctx,
-    ) -> WireReply {
-        // Replica-served, untracked — see [`Server::op_lookup`]. The stat
-        // half still fuses when the inode happens to live here.
-        if let Some(hit) = self.replicas.lookup(dir, name) {
-            return match hit {
-                Some(v) => {
-                    let stat = if v.target.server == self.id {
-                        match self.op_stat(v.target.num) {
-                            Ok(Reply::Stat(s)) => {
-                                ctx.extra += 400;
-                                Some(s)
-                            }
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    Ok(Reply::LookupStated {
-                        target: v.target,
-                        ftype: v.ftype,
-                        dist: v.dist,
-                        stat,
-                    })
-                }
-                None => Err(Errno::ENOENT),
-            };
-        }
-        if let Some(r) = self.not_owner(dir) {
-            return r;
-        }
-        if self.dentries.is_tombstoned(dir) {
-            return Err(Errno::ENOENT);
-        }
-        match self.dentries.lookup(dir, name) {
-            Some(v) => {
-                self.track_entry(dir, name, client, ctx);
-                let stat = if v.target.server == self.id {
-                    // The stat half of the coalesced message. A failing
-                    // local stat (the inode vanished) degrades to
-                    // lookup-only; the client's fallback StatInode
-                    // reproduces the authoritative error.
-                    match self.op_stat(v.target.num) {
-                        Ok(Reply::Stat(s)) => {
-                            ctx.extra += 400;
-                            Some(s)
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                Ok(Reply::LookupStated {
-                    target: v.target,
-                    ftype: v.ftype,
-                    dist: v.dist,
-                    stat,
-                })
-            }
-            None => {
-                // Track the miss for negative-cache invalidation.
-                if self.neg_dircache {
-                    self.track_entry(dir, name, client, ctx);
-                }
-                Err(Errno::ENOENT)
-            }
-        }
+        };
+        let entry = PathEntry {
+            target: v.target,
+            ftype: v.ftype,
+            dist: v.dist,
+            replica,
+        };
+        Ok(Reply::Lookup {
+            target: v.target,
+            ftype: v.ftype,
+            dist: v.dist,
+            term: self.exec_terminal(terminal, Some(entry), ctx),
+        })
     }
 
     /// Chained multi-component resolution (the server half of the
@@ -1516,12 +1356,13 @@ impl Server {
         }))
     }
 
-    /// Executes the fused terminal op of a completed chain walk against the
-    /// final resolved dentry, strictly locally. Anything the final server
-    /// cannot answer from its own shards — a remote terminal inode, a
-    /// non-file open target, a failing local attempt — degrades to `None`;
-    /// the client's ordinary follow-up RPC then reproduces the
-    /// authoritative result. No path here ever forwards to a peer.
+    /// Executes the fused terminal op of a completed chain walk or single
+    /// lookup against the final resolved dentry, strictly locally.
+    /// Anything the final server cannot answer from its own shards — a
+    /// remote terminal inode, a non-file open target, a failing local
+    /// attempt — degrades to `None`; the client's ordinary follow-up RPC
+    /// then reproduces the authoritative result. No path here ever
+    /// forwards to a peer.
     fn exec_terminal(
         &mut self,
         terminal: TerminalOp,
@@ -1537,38 +1378,26 @@ impl Server {
                 }
                 match self.op_stat(last.target.num) {
                     Ok(Reply::Stat(s)) => {
-                        // The stat half, priced like the coalesced
-                        // LookupStat's.
+                        // The stat half (cheaper than a standalone
+                        // StatInode: no second dispatch).
                         ctx.extra += 400;
                         Some(TerminalReply::Stat(s))
                     }
                     _ => None,
                 }
             }
-            TerminalOp::Open { flags } => {
+            // A Create whose name resolved after all: POSIX
+            // `open(O_CREAT)` of an existing file opens it. (The
+            // created-missing-file case never reaches here — a chain
+            // handles it inline at the walk's miss branch.)
+            TerminalOp::Open { flags } | TerminalOp::Create { flags, .. } => {
                 if last.ftype != FileType::Regular || last.target.server != self.id {
                     return None;
                 }
                 match self.open_local_file(last.target.num, flags, ctx) {
                     Ok(o) => {
-                        // The open half, priced like the coalesced
-                        // LookupOpen's.
-                        ctx.extra += 700;
-                        Some(TerminalReply::Open(o))
-                    }
-                    Err(_) => None,
-                }
-            }
-            TerminalOp::Create { flags, .. } => {
-                // The name resolved after all: POSIX `open(O_CREAT)` of an
-                // existing file opens it, so this arm is exactly the Open
-                // terminal. (The created-missing-file case never reaches
-                // here — it is handled inline at the walk's miss branch.)
-                if last.ftype != FileType::Regular || last.target.server != self.id {
-                    return None;
-                }
-                match self.open_local_file(last.target.num, flags, ctx) {
-                    Ok(o) => {
+                        // The open half (cheaper than a standalone
+                        // OpenInode: no second dispatch).
                         ctx.extra += 700;
                         Some(TerminalReply::Open(o))
                     }
@@ -1997,7 +1826,7 @@ impl Server {
 
     /// Opens a descriptor on a locally stored regular file after POSIX
     /// permission checks (paper §3.2). Shared by the standalone
-    /// [`Request::OpenInode`] and the coalesced [`Request::LookupOpen`].
+    /// [`Request::OpenInode`] and the fused open terminal.
     fn open_local_file(
         &mut self,
         num: u64,

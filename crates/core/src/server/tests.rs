@@ -62,6 +62,20 @@ impl Harness {
         self.req(req).expect("reply expected").expect("ok expected")
     }
 
+    /// Like [`Harness::req`], plus the service cycles the request was
+    /// charged: the server's busy time net of the fixed message overheads
+    /// (receive, reply send, timeshare context switch).
+    fn req_charged(&mut self, req: Request) -> (Option<WireReply>, u64) {
+        let before = self.machine.busy.now(0);
+        let reply = self.req(req);
+        let cost = &self.machine.cost;
+        let mut overhead = cost.msg_recv + cost.msg_send;
+        if self.machine.timeshared(0) {
+            overhead += cost.ctx_switch;
+        }
+        (reply, self.machine.busy.now(0) - before - overhead)
+    }
+
     fn create_file(&mut self, name: &str) -> (InodeId, OpenResult) {
         match self.must(Request::Create {
             client: 1,
@@ -88,6 +102,7 @@ fn coalesced_create_open_unlink_orphan() {
         client: 2,
         dir: InodeId::ROOT,
         name: "f".into(),
+        terminal: TerminalOp::None,
     }) {
         Reply::Lookup { target, ftype, .. } => {
             assert_eq!(target, ino);
@@ -444,6 +459,7 @@ fn invalidations_reach_tracking_clients() {
         client: 7,
         dir: InodeId::ROOT,
         name: "f".into(),
+        terminal: TerminalOp::None,
     });
     // Client 1 removes the entry: client 7 must get an invalidation.
     h.must(Request::RmMap {
@@ -526,38 +542,119 @@ fn pipe_write_blocks_at_capacity_and_epipe() {
     ));
 }
 
-#[test]
-fn lookup_open_coalesces_on_local_inode() {
-    let mut h = Harness::new();
-    let (ino, open0) = h.create_file("f");
-    h.must(Request::CloseFd {
-        fd: open0.fd,
-        size: None,
-    });
-    // One message resolves the dentry AND opens a descriptor because the
-    // inode lives on this (the dentry shard) server.
-    match h.must(Request::LookupOpen {
-        client: 2,
-        dir: InodeId::ROOT,
-        name: "f".into(),
-        flags: OpenFlags::RDONLY,
-    }) {
-        Reply::LookupOpened {
-            target,
-            ftype,
-            open: Some(_),
-            ..
-        } => {
-            assert_eq!(target, ino);
-            assert_eq!(ftype, FileType::Regular);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+/// Where a single `Lookup` is answered: the directory's home shard, or a
+/// read replica of it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Served {
+    Home,
+    Replica,
 }
 
 #[test]
-fn lookup_open_falls_back_for_remote_inode() {
+fn single_lookup_terminals_cost_and_semantics() {
+    // A directory replicated onto this server (its home is elsewhere);
+    // its copy maps "f" to the same local inode the home root maps.
+    let rdir = InodeId { server: 1, num: 77 };
+    let terminals = [
+        TerminalOp::None,
+        TerminalOp::Stat,
+        TerminalOp::Open {
+            flags: OpenFlags::RDONLY,
+        },
+        TerminalOp::Create {
+            flags: OpenFlags::RDONLY | OpenFlags::CREAT,
+            mode: Mode::default(),
+        },
+    ];
+    for terminal in terminals {
+        for served in [Served::Home, Served::Replica] {
+            let case = format!("{terminal:?} at {served:?}");
+            let mut h = Harness::new();
+            let (ino, open0) = h.create_file("f");
+            h.must(Request::CloseFd {
+                fd: open0.fd,
+                size: None,
+            });
+            h.must(Request::ReplicaInstall {
+                dir: rdir,
+                home: 1,
+                epoch: 1,
+                entries: vec![MigEntry {
+                    name: "f".into(),
+                    target: ino,
+                    ftype: FileType::Regular,
+                    dist: false,
+                }],
+            });
+            let dir = match served {
+                Served::Home => InodeId::ROOT,
+                Served::Replica => rdir,
+            };
+            // The fused half is charged only when it executes, at the
+            // prices of the standalone forms' second halves.
+            let (reply, charged) = h.req_charged(Request::Lookup {
+                client: 2,
+                dir,
+                name: "f".into(),
+                terminal,
+            });
+            let term = match reply {
+                Some(Ok(Reply::Lookup {
+                    target,
+                    ftype,
+                    term,
+                    ..
+                })) => {
+                    assert_eq!((target, ftype), (ino, FileType::Regular), "{case}");
+                    term
+                }
+                other => panic!("{case}: unexpected {other:?}"),
+            };
+            match terminal {
+                TerminalOp::None => {
+                    assert!(term.is_none(), "{case}");
+                    assert_eq!(charged, 600, "{case}");
+                }
+                TerminalOp::Stat => {
+                    assert!(matches!(term, Some(TerminalReply::Stat(_))), "{case}");
+                    assert_eq!(charged, 600 + 400, "{case}");
+                }
+                _ => {
+                    assert!(matches!(term, Some(TerminalReply::Open(_))), "{case}");
+                    assert_eq!(charged, 600 + 700, "{case}");
+                }
+            }
+            // Home answers are tracked for invalidation; replica answers
+            // never are (nothing would invalidate a cached replica read).
+            let trackers = h.server.dentries.take_trackers(dir, "f", 0);
+            assert_eq!(trackers.contains(&2), served == Served::Home, "{case}");
+
+            // A miss is ENOENT whatever the terminal — a single lookup
+            // never creates — and costs the bare lookup. A home miss is
+            // tracked (negative caching is on) so the client's cached
+            // ENOENT hears about a later creation.
+            let (reply, charged) = h.req_charged(Request::Lookup {
+                client: 2,
+                dir,
+                name: "absent".into(),
+                terminal,
+            });
+            assert!(matches!(reply, Some(Err(Errno::ENOENT))), "{case}");
+            assert_eq!(charged, 600, "{case}");
+            assert!(h.server.dentries.lookup(dir, "absent").is_none(), "{case}");
+            let trackers = h.server.dentries.take_trackers(dir, "absent", 0);
+            assert_eq!(trackers.contains(&2), served == Served::Home, "{case}");
+        }
+    }
+
+    // The fused open degrades to a plain lookup — charged as one — when
+    // it cannot execute here.
     let mut h = Harness::new();
+    let open = TerminalOp::Open {
+        flags: OpenFlags::RDONLY,
+    };
+    // The dentry resolves, but the inode lives elsewhere: no fused open,
+    // the client must follow up with OpenInode at server 1.
     let remote = InodeId { server: 1, num: 9 };
     h.must(Request::AddMap {
         client: 1,
@@ -568,27 +665,24 @@ fn lookup_open_falls_back_for_remote_inode() {
         dist: false,
         replace: false,
     });
-    // The dentry resolves, but the inode lives elsewhere: no coalesced
-    // open, the client must follow up with OpenInode at server 1.
-    match h.must(Request::LookupOpen {
+    let (reply, charged) = h.req_charged(Request::Lookup {
         client: 2,
         dir: InodeId::ROOT,
         name: "r".into(),
-        flags: OpenFlags::RDONLY,
-    }) {
-        Reply::LookupOpened {
-            target, open: None, ..
-        } => assert_eq!(target, remote),
+        terminal: open,
+    });
+    match reply {
+        Some(Ok(Reply::Lookup {
+            target, term: None, ..
+        })) => assert_eq!(target, remote),
         other => panic!("unexpected {other:?}"),
     }
-}
+    assert_eq!(charged, 600);
 
-#[test]
-fn lookup_open_degrades_to_lookup_when_open_fails() {
-    let mut h = Harness::new();
-    // A write-only file: the coalesced RDONLY open must fail EACCES, but
-    // the reply still carries the resolution so the client caches the
-    // dentry (its fallback OpenInode reproduces the error).
+    // A write-only file: the fused RDONLY open fails EACCES, but the
+    // reply still carries the resolution — charged as a plain lookup — so
+    // the client caches the dentry; its fallback OpenInode reproduces the
+    // error.
     let ino = match h.must(Request::Create {
         client: 1,
         ftype: FileType::Regular,
@@ -600,17 +694,19 @@ fn lookup_open_degrades_to_lookup_when_open_fails() {
         Reply::Created { ino, .. } => ino,
         other => panic!("unexpected {other:?}"),
     };
-    match h.must(Request::LookupOpen {
+    let (reply, charged) = h.req_charged(Request::Lookup {
         client: 2,
         dir: InodeId::ROOT,
         name: "wonly".into(),
-        flags: OpenFlags::RDONLY,
-    }) {
-        Reply::LookupOpened {
-            target, open: None, ..
-        } => assert_eq!(target, ino),
+        terminal: open,
+    });
+    match reply {
+        Some(Ok(Reply::Lookup {
+            target, term: None, ..
+        })) => assert_eq!(target, ino),
         other => panic!("unexpected {other:?}"),
     }
+    assert_eq!(charged, 600);
     assert!(matches!(
         h.req(Request::OpenInode {
             client: 2,
@@ -637,6 +733,7 @@ fn fresh_addmap_invalidates_miss_trackers() {
             client: 7,
             dir: InodeId::ROOT,
             name: "soon".into(),
+            terminal: TerminalOp::None,
         }),
         Some(Err(Errno::ENOENT))
     ));
@@ -646,38 +743,6 @@ fn fresh_addmap_invalidates_miss_trackers() {
     let inv = irx.try_recv().expect("negative entry must be invalidated");
     assert_eq!(inv.payload.dir, InodeId::ROOT);
     assert_eq!(inv.payload.name, "soon");
-}
-
-#[test]
-fn lookup_open_miss_is_tracked_for_invalidation() {
-    let mut h = Harness::new();
-    let (itx, irx) = msg::channel::<Invalidation>(Arc::clone(&h.machine.msg_stats));
-    h.must(Request::Register {
-        client: 7,
-        core: 1,
-        inval: itx,
-    });
-    assert!(matches!(
-        h.req(Request::LookupOpen {
-            client: 7,
-            dir: InodeId::ROOT,
-            name: "later".into(),
-            flags: OpenFlags::RDONLY,
-        }),
-        Some(Err(Errno::ENOENT))
-    ));
-    // A plain (non-coalesced) AddMap creation also reaches miss trackers.
-    h.must(Request::AddMap {
-        client: 1,
-        dir: InodeId::ROOT,
-        name: "later".into(),
-        target: InodeId { server: 0, num: 33 },
-        ftype: FileType::Regular,
-        dist: false,
-        replace: false,
-    });
-    let inv = irx.try_recv().expect("miss tracker must hear the create");
-    assert_eq!(inv.payload.name, "later");
 }
 
 #[test]

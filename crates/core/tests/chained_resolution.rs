@@ -107,8 +107,8 @@ fn expected_sends(shards: &[u16], ino_server: u16, chained: bool, fused: bool) -
     };
     if chained && fused {
         // The whole operation rides the chain (or, for a single
-        // component, the coalesced LookupStat): one end-to-end exchange
-        // per run of co-located components.
+        // component, the Lookup carrying the stat): one end-to-end
+        // exchange per run of co-located components.
         let resolve = if p >= 2 { runs(shards) + 1 } else { 2 };
         return resolve + extra;
     }
@@ -118,7 +118,8 @@ fn expected_sends(shards: &[u16], ino_server: u16, chained: bool, fused: bool) -
     } else {
         2 * dirs.len() as u64
     };
-    // ... plus the final component's LookupStat round trip.
+    // ... plus the round trip of the final component's Lookup, which
+    // carries the stat.
     resolve + 2 + extra
 }
 

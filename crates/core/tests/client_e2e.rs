@@ -3,7 +3,7 @@
 //! non-coherent buffer cache.
 
 use fsapi::{read_to_vec, write_file, Errno, FileType, MkdirOpts, Mode, OpenFlags, ProcFs, Whence};
-use hare_core::{HareConfig, HareInstance};
+use hare_core::{dentry_shard, HareConfig, HareInstance, InodeId};
 
 fn boot(ncores: usize) -> std::sync::Arc<HareInstance> {
     HareInstance::start(HareConfig::timeshare(ncores))
@@ -474,14 +474,46 @@ fn negative_dentry_on_intermediate_component() {
 }
 
 #[test]
-fn open_existing_works_with_coalescing_disabled() {
-    let mut cfg = HareConfig::timeshare(4);
-    cfg.techniques = hare_core::Techniques::without("coalesced_open");
+fn open_of_remote_inode_completes_with_one_open_inode() {
+    // Two sockets: the writer (socket 0) creates a file whose dentry shard
+    // is a socket-1 server, so creation affinity keeps the inode on the
+    // writer's local server, away from its dentry. The reader's final
+    // Lookup carries the open but the dentry server cannot execute it
+    // (`term: None`), so the client completes with exactly one OpenInode.
+    let mut cfg = HareConfig::timeshare(8);
+    cfg.topology = vtime::Topology::new(2, 4);
+    cfg.trace_ops = true;
     let inst = HareInstance::start(cfg);
     let a = inst.new_client(0).unwrap();
-    let b = inst.new_client(2).unwrap();
-    write_file(&a, "/plain", b"two-rpc path").unwrap();
-    assert_eq!(read_to_vec(&b, "/plain").unwrap(), b"two-rpc path");
+    a.mkdir_opts("/d", Mode::default(), MkdirOpts::DISTRIBUTED)
+        .unwrap();
+    let st = a.stat("/d").unwrap();
+    let d = InodeId {
+        server: st.server,
+        num: st.ino,
+    };
+    let name = (0..)
+        .map(|i| format!("plain{i}"))
+        .find(|n| dentry_shard(d, true, n, 8) == 5)
+        .unwrap();
+    let path = format!("/d/{name}");
+    write_file(&a, &path, b"two-rpc path").unwrap();
+    assert_ne!(a.stat(&path).unwrap().server, 5, "inode stays local");
+
+    // The reader caches /d first, so the open's only uncached component
+    // is the final one: a single Lookup { terminal: Open }.
+    let b = inst.new_client(1).unwrap();
+    b.stat("/d").unwrap();
+    assert_eq!(read_to_vec(&b, &path).unwrap(), b"two-rpc path");
+    // The last traced open is the reader's (roots come in op order).
+    let trees = inst.machine().otrace.op_trees();
+    let open = trees
+        .iter()
+        .rev()
+        .find(|t| t.label == "open")
+        .expect("open traced");
+    let labels: Vec<&str> = open.children.iter().map(|c| c.label).collect();
+    assert_eq!(labels, ["Lookup", "OpenInode"]);
 }
 
 #[test]

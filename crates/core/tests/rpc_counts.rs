@@ -1,6 +1,6 @@
 //! RPC-count regression tests built on the machine-wide `msg` send
-//! counters: the coalesced lookup+open and the negative dentry cache exist
-//! to remove whole round trips from the hot path, so these tests pin the
+//! counters: the fused lookup+open/stat and the negative dentry cache
+//! exist to remove whole round trips from the hot path, so these tests pin the
 //! exact message counts and fail if a code change quietly re-adds one.
 //!
 //! Counting convention: every RPC is two message sends (request + reply);
@@ -44,8 +44,8 @@ fn fused_open_costs_one_end_to_end_exchange() {
 
 #[test]
 fn unfused_chained_open_costs_two_exchanges() {
-    // Fusion off restores the PR 3 protocol: one chained LookupPath
-    // exchange for the parents, then one LookupOpen.
+    // Fusion off: one chained LookupPath exchange for the parents, then
+    // one Lookup carrying the open.
     assert_eq!(
         open_existing_sends(Techniques::without("fused_terminal")),
         2 * 2
@@ -53,32 +53,13 @@ fn unfused_chained_open_costs_two_exchanges() {
 }
 
 #[test]
-fn unchained_coalesced_open_costs_depth_plus_one_rpcs() {
+fn unchained_open_costs_depth_plus_one_rpcs() {
     // Chaining off restores the per-component walk: two parent lookups +
-    // one LookupOpen = depth + 1 RPCs.
+    // one Lookup carrying the open = depth + 1 RPCs.
     assert_eq!(
         open_existing_sends(Techniques::without("chained_resolution")),
         2 * (2 + 1)
     );
-}
-
-#[test]
-fn uncoalesced_open_costs_one_more_exchange() {
-    // Coalescing off: the chained parent resolve (1 exchange) + Lookup +
-    // OpenInode.
-    assert_eq!(
-        open_existing_sends(Techniques::without("coalesced_open")),
-        2 * 3
-    );
-}
-
-#[test]
-fn unchained_uncoalesced_open_costs_depth_plus_two_rpcs() {
-    // Both extensions off: the seed protocol, two parent lookups +
-    // Lookup + OpenInode = depth + 2 RPCs.
-    let mut t = Techniques::without("coalesced_open");
-    t.chained_resolution = false;
-    assert_eq!(open_existing_sends(t), 2 * (2 + 2));
 }
 
 /// Message sends for the second of two identical failing lookups.
@@ -170,23 +151,18 @@ fn fused_stat_costs_one_end_to_end_exchange() {
 #[test]
 fn unfused_chained_stat_costs_two_exchanges() {
     // Fusion off: one chained LookupPath exchange for the parents + one
-    // LookupStat.
+    // Lookup carrying the stat.
     assert_eq!(stat_sends(Techniques::without("fused_terminal")), 2 * 2);
 }
 
 #[test]
-fn unchained_coalesced_stat_costs_depth_plus_one_rpcs() {
-    // Chaining off: two parent lookups + one LookupStat = depth + 1.
+fn unchained_stat_costs_depth_plus_one_rpcs() {
+    // Chaining off: two parent lookups + one Lookup carrying the stat =
+    // depth + 1.
     assert_eq!(
         stat_sends(Techniques::without("chained_resolution")),
         2 * (2 + 1)
     );
-}
-
-#[test]
-fn uncoalesced_stat_costs_one_more_exchange() {
-    // Coalescing off: chained parent resolve + Lookup + StatInode.
-    assert_eq!(stat_sends(Techniques::without("coalesced_stat")), 2 * 3);
 }
 
 /// Message sends and batched-op count for one `rename("/src", "/dst")` on

@@ -65,7 +65,7 @@ fn cold_open_and_full_read_is_one_metadata_plus_stripe_exchanges() {
     let c = inst.new_client(0).unwrap();
     let sends = || inst.machine().msg_stats.sends();
 
-    // One metadata exchange: the coalesced LookupOpen, nothing else.
+    // One metadata exchange: the Lookup carrying the open, nothing else.
     let s0 = sends();
     let fd = c.open("/f", OpenFlags::RDONLY, Mode::default()).unwrap();
     assert_eq!(sends() - s0, 2, "open is one exchange, block list included");
