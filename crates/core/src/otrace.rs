@@ -139,6 +139,8 @@ struct Span {
 struct Inner {
     /// Next global span id (0 is reserved for "no parent").
     next_id: u64,
+    /// Highest span id discarded by the last [`Tracer::reset`].
+    reset_below: u64,
     /// Next root operation id.
     next_op: u64,
     spans: HashMap<u64, Span>,
@@ -152,6 +154,23 @@ impl Inner {
         let id = self.next_id;
         self.spans.insert(id, span);
         id
+    }
+
+    /// The recorded span `id`, or `None` if a reset discarded it: what a
+    /// server does after sending its reply (charging it, invalidations,
+    /// closing its span) races with the woken client's
+    /// [`Tracer::reset`], and is dropped with the span.
+    fn span(&mut self, id: u64) -> Option<&mut Span> {
+        let reset_below = self.reset_below;
+        let s = self.spans.get_mut(&id);
+        assert!(s.is_some() || id <= reset_below, "span {id} recorded");
+        s
+    }
+
+    fn next_idx(&mut self, parent: u64) -> Option<u32> {
+        let p = self.span(parent)?;
+        p.next_child += 1;
+        Some(p.next_child - 1)
     }
 }
 
@@ -240,7 +259,7 @@ impl Tracer {
         let span = match parent {
             Some(p) => {
                 let op = inner.spans[&p].op;
-                let idx = Self::next_idx(&mut inner, p);
+                let idx = inner.next_idx(p).expect("parent span recorded");
                 Span {
                     op,
                     parent: p,
@@ -313,8 +332,8 @@ impl Tracer {
         let parent = self.cur()?;
         let cause = TAG.take().unwrap_or(default_cause);
         let mut inner = self.inner.lock();
-        let idx = Self::next_idx(&mut inner, parent);
-        let p = inner.spans.get_mut(&parent).expect("open span recorded");
+        let idx = inner.next_idx(parent)?;
+        let p = inner.span(parent)?;
         p.sends += 1;
         Some(SpanCtx {
             op: p.op,
@@ -331,8 +350,9 @@ impl Tracer {
             return;
         }
         let Some(id) = self.cur() else { return };
-        let mut inner = self.inner.lock();
-        inner.spans.get_mut(&id).expect("open span recorded").sends += 1;
+        if let Some(s) = self.inner.lock().span(id) {
+            s.sends += 1;
+        }
     }
 
     /// Records a zero-width child of the current span that issued exactly
@@ -344,7 +364,9 @@ impl Tracer {
         }
         let Some(parent) = self.cur() else { return };
         let mut inner = self.inner.lock();
-        let idx = Self::next_idx(&mut inner, parent);
+        let Some(idx) = inner.next_idx(parent) else {
+            return;
+        };
         let op = inner.spans[&parent].op;
         inner.alloc(Span {
             op,
@@ -410,7 +432,7 @@ impl Tracer {
             return false;
         };
         let mut inner = self.inner.lock();
-        let idx = Self::next_idx(&mut inner, parent);
+        let idx = inner.next_idx(parent).expect("parent span recorded");
         let p = &inner.spans[&parent];
         let (op, start) = (p.op, p.start.max(now));
         let id = inner.alloc(Span {
@@ -437,10 +459,10 @@ impl Tracer {
             return;
         }
         let Some(id) = self.pop() else { return };
-        let mut inner = self.inner.lock();
-        let s = inner.spans.get_mut(&id).expect("open span recorded");
-        s.end = now.max(s.start);
-        s.open = false;
+        if let Some(s) = self.inner.lock().span(id) {
+            s.end = now.max(s.start);
+            s.open = false;
+        }
     }
 
     /// Records a zero-send leaf marking that a request parked behind a
@@ -477,20 +499,13 @@ impl Tracer {
             return None;
         }
         let ctx = ctx?;
-        let mut inner = self.inner.lock();
-        let idx = Self::next_idx(&mut inner, ctx.parent);
+        let idx = self.inner.lock().next_idx(ctx.parent)?;
         Some(SpanCtx {
             op: ctx.op,
             parent: ctx.parent,
             idx,
             cause: Cause::ParkReplay,
         })
-    }
-
-    fn next_idx(inner: &mut Inner, parent: u64) -> u32 {
-        let p = inner.spans.get_mut(&parent).expect("parent span recorded");
-        p.next_child += 1;
-        p.next_child - 1
     }
 
     // ----- Reading the record --------------------------------------------
@@ -521,6 +536,7 @@ impl Tracer {
         let mut inner = self.inner.lock();
         inner.spans.clear();
         inner.roots.clear();
+        inner.reset_below = inner.next_id;
         // Ids keep counting: contexts minted before the reset must not
         // collide with spans recorded after it.
     }
@@ -790,6 +806,22 @@ mod tests {
         );
         assert_eq!(trees[0].children[0].label, "(parked)");
         assert_eq!(trees[0].total_sends(), 2);
+    }
+
+    #[test]
+    fn reply_charged_after_a_reset_is_dropped() {
+        let t = Tracer::new(true);
+        t.begin_op("stat", 0, 0);
+        let ctx = t.send_ctx(Cause::Resolve).unwrap();
+        t.end_op(10);
+        // The server has sent its reply; the woken client resets before
+        // the server charges that send.
+        assert!(t.begin_from(Some(ctx), "Lookup", 1, 5));
+        t.reset();
+        t.charge_send();
+        t.end_span(8);
+        assert!(t.op_trees().is_empty());
+        assert_eq!(t.open_spans(), 0);
     }
 
     #[test]

@@ -646,15 +646,42 @@ fn single_lookup_terminals_cost_and_semantics() {
             assert_eq!(trackers.contains(&2), served == Served::Home, "{case}");
         }
     }
+}
 
-    // The fused open degrades to a plain lookup — charged as one — when
-    // it cannot execute here.
+#[test]
+fn lookup_open_coalesces_on_local_inode() {
     let mut h = Harness::new();
-    let open = TerminalOp::Open {
-        flags: OpenFlags::RDONLY,
-    };
-    // The dentry resolves, but the inode lives elsewhere: no fused open,
-    // the client must follow up with OpenInode at server 1.
+    let (ino, open0) = h.create_file("f");
+    h.must(Request::CloseFd {
+        fd: open0.fd,
+        size: None,
+    });
+    // One message resolves the dentry AND opens a descriptor because the
+    // inode lives on this (the dentry shard) server.
+    match h.must(Request::Lookup {
+        client: 2,
+        dir: InodeId::ROOT,
+        name: "f".into(),
+        terminal: TerminalOp::Open {
+            flags: OpenFlags::RDONLY,
+        },
+    }) {
+        Reply::Lookup {
+            target,
+            ftype,
+            term: Some(TerminalReply::Open(_)),
+            ..
+        } => {
+            assert_eq!(target, ino);
+            assert_eq!(ftype, FileType::Regular);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn lookup_open_falls_back_for_remote_inode() {
+    let mut h = Harness::new();
     let remote = InodeId { server: 1, num: 9 };
     h.must(Request::AddMap {
         client: 1,
@@ -665,11 +692,16 @@ fn single_lookup_terminals_cost_and_semantics() {
         dist: false,
         replace: false,
     });
+    // The dentry resolves, but the inode lives elsewhere: no fused open,
+    // the client must follow up with OpenInode at server 1. The reply is
+    // charged as a plain lookup.
     let (reply, charged) = h.req_charged(Request::Lookup {
         client: 2,
         dir: InodeId::ROOT,
         name: "r".into(),
-        terminal: open,
+        terminal: TerminalOp::Open {
+            flags: OpenFlags::RDONLY,
+        },
     });
     match reply {
         Some(Ok(Reply::Lookup {
@@ -678,7 +710,11 @@ fn single_lookup_terminals_cost_and_semantics() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(charged, 600);
+}
 
+#[test]
+fn lookup_open_degrades_to_lookup_when_open_fails() {
+    let mut h = Harness::new();
     // A write-only file: the fused RDONLY open fails EACCES, but the
     // reply still carries the resolution — charged as a plain lookup — so
     // the client caches the dentry; its fallback OpenInode reproduces the
@@ -698,7 +734,9 @@ fn single_lookup_terminals_cost_and_semantics() {
         client: 2,
         dir: InodeId::ROOT,
         name: "wonly".into(),
-        terminal: open,
+        terminal: TerminalOp::Open {
+            flags: OpenFlags::RDONLY,
+        },
     });
     match reply {
         Some(Ok(Reply::Lookup {
@@ -743,6 +781,40 @@ fn fresh_addmap_invalidates_miss_trackers() {
     let inv = irx.try_recv().expect("negative entry must be invalidated");
     assert_eq!(inv.payload.dir, InodeId::ROOT);
     assert_eq!(inv.payload.name, "soon");
+}
+
+#[test]
+fn lookup_open_miss_is_tracked_for_invalidation() {
+    let mut h = Harness::new();
+    let (itx, irx) = msg::channel::<Invalidation>(Arc::clone(&h.machine.msg_stats));
+    h.must(Request::Register {
+        client: 7,
+        core: 1,
+        inval: itx,
+    });
+    assert!(matches!(
+        h.req(Request::Lookup {
+            client: 7,
+            dir: InodeId::ROOT,
+            name: "later".into(),
+            terminal: TerminalOp::Open {
+                flags: OpenFlags::RDONLY,
+            },
+        }),
+        Some(Err(Errno::ENOENT))
+    ));
+    // A plain (non-coalesced) AddMap creation also reaches miss trackers.
+    h.must(Request::AddMap {
+        client: 1,
+        dir: InodeId::ROOT,
+        name: "later".into(),
+        target: InodeId { server: 0, num: 33 },
+        ftype: FileType::Regular,
+        dist: false,
+        replace: false,
+    });
+    let inv = irx.try_recv().expect("miss tracker must hear the create");
+    assert_eq!(inv.payload.name, "later");
 }
 
 #[test]
