@@ -1,8 +1,10 @@
 //! A counting global allocator for pinning allocations per operation.
 //!
-//! The big-machine hot paths (PR 8) stripped per-op allocations off warm
-//! stat/open: the reusable [`ReplySlot`](hare_core::rpc::ReplySlot) reply
-//! channel and the pre-sized component vector. This module makes those
+//! The big-machine hot paths stripped per-op allocations off warm
+//! stat/open: the client's reusable reply channel for blocking calls
+//! (each [`hare_core::rpc::send`] of a serial call clones one long-lived
+//! sender instead of building a channel) and the pre-sized component
+//! vector. This module makes those
 //! wins testable: a thin wrapper over the system allocator that bumps a
 //! thread-local counter on every `alloc`/`realloc`, so a test can measure
 //! exactly how many allocations *its own thread* performs per operation —

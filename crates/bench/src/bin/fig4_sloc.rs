@@ -8,17 +8,26 @@
 
 use std::path::{Path, PathBuf};
 
+/// Whether a trimmed line declares a module (`mod x {`, `pub(crate) mod
+/// x;`, ...).
+fn is_mod_line(t: &str) -> bool {
+    t.split_whitespace()
+        .find(|w| !w.starts_with("pub"))
+        .is_some_and(|w| w == "mod")
+}
+
 /// Counts non-blank, non-comment source lines of one file, stopping at a
 /// `#[cfg(test)]` module (tests are not part of the system SLOC the paper
-/// counts).
+/// counts). A `#[cfg(test)]` on any other item (a test-only accessor) does
+/// not end the count.
 fn sloc_of(path: &Path) -> usize {
     let Ok(text) = std::fs::read_to_string(path) else {
         return 0;
     };
     let mut n = 0;
-    for line in text.lines() {
-        let t = line.trim();
-        if t == "#[cfg(test)]" {
+    let mut lines = text.lines().map(str::trim).peekable();
+    while let Some(t) = lines.next() {
+        if t == "#[cfg(test)]" && lines.peek().is_some_and(|next| is_mod_line(next)) {
             break;
         }
         if t.is_empty() || t.starts_with("//") {
@@ -29,6 +38,27 @@ fn sloc_of(path: &Path) -> usize {
     n
 }
 
+/// File stems of the out-of-line test modules a directory's sources
+/// declare (`#[cfg(test)] mod tests;` in `mod.rs` puts them in `tests.rs`).
+fn test_module_stems(files: &[PathBuf]) -> Vec<String> {
+    let mut stems = Vec::new();
+    for f in files {
+        let text = std::fs::read_to_string(f).unwrap_or_default();
+        let mut lines = text.lines().map(str::trim).peekable();
+        while let Some(t) = lines.next() {
+            if t != "#[cfg(test)]" {
+                continue;
+            }
+            if let Some(decl) = lines.peek().filter(|next| is_mod_line(next)) {
+                if let Some(name) = decl.strip_suffix(';') {
+                    stems.extend(name.split_whitespace().last().map(str::to_string));
+                }
+            }
+        }
+    }
+    stems
+}
+
 fn sloc_of_tree(root: &Path) -> usize {
     let mut total = 0;
     let mut stack = vec![root.to_path_buf()];
@@ -36,6 +66,7 @@ fn sloc_of_tree(root: &Path) -> usize {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             continue;
         };
+        let mut files = Vec::new();
         for e in entries.flatten() {
             let p = e.path();
             if p.is_dir() {
@@ -44,9 +75,18 @@ fn sloc_of_tree(root: &Path) -> usize {
                 }
                 stack.push(p);
             } else if p.extension().is_some_and(|x| x == "rs") {
-                total += sloc_of(&p);
+                files.push(p);
             }
         }
+        let test_mods = test_module_stems(&files);
+        total += files
+            .iter()
+            .filter(|p| {
+                let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+                !test_mods.iter().any(|t| t == stem)
+            })
+            .map(|p| sloc_of(p))
+            .sum::<usize>();
     }
     total
 }

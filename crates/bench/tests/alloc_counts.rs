@@ -6,11 +6,12 @@
 //! threads' allocations don't land on our counter — so any new allocation
 //! on a warm path fails the test rather than silently creeping in.
 //!
-//! Measured against the pre-PR 8 tree with this same harness: warm stat
-//! was 2 allocations/op and warm open 3; both are now 1. The savings come
-//! from the reusable `ReplySlot` (each blocking call used to build a
-//! fresh reply channel: an `Arc` for the shared queue state plus a
-//! `VecDeque` buffer on first push) and the pre-sized component vector.
+//! Measured before the allocation-lean hot paths with this same harness:
+//! warm stat was 2 allocations/op and warm open 3; both are now 1. The
+//! savings come from `ClientLib::call`'s reusable reply channel (each
+//! blocking call used to build a fresh one: an `Arc` for the shared queue
+//! state plus a `VecDeque` buffer on first push) and the pre-sized
+//! component vector.
 #![cfg(feature = "count-alloc")]
 
 use fsapi::{Mode, OpenFlags, ProcFs};

@@ -1,58 +1,42 @@
 //! The client side of the batched RPC transport.
 //!
-//! A per-server send queue collects independent requests destined for the
-//! same server and ships each group as one [`Request::Batch`] exchange: the
-//! server executes the entries in order and pays one message overhead for
-//! the whole group (see `Server::op_batch`). Requests to *different*
-//! servers are shipped as overlapping exchanges, like the directory
-//! broadcast (§3.6.2) — so a fan-out over M operations spread across N
-//! servers costs N transport exchanges instead of M independent RPCs.
+//! Independent requests destined for the same server are grouped and each
+//! group ships as one [`Request::Batch`] exchange: the server executes the
+//! entries in order and pays one message overhead for the whole group (see
+//! `Server::op_batch`). The groups then go out through
+//! [`ClientLib::exchange`], overlapped like the directory broadcast
+//! (§3.6.2) when that technique is on — so a fan-out over M operations
+//! spread across N servers costs N transport exchanges instead of M
+//! independent RPCs.
 //!
 //! With the `batching` technique disabled, [`ClientLib::call_grouped`]
 //! degrades to exactly the pre-batching behaviour: one RPC per request,
-//! overlapped when the broadcast technique allows it, sequential otherwise.
+//! through the same [`ClientLib::exchange`].
 
 use super::ClientLib;
-use crate::proto::{Request, WireReply};
-use crate::rpc;
+use crate::proto::{Reply, Request, WireReply};
 use crate::types::ServerId;
 use fsapi::Errno;
 
-/// The per-server send queue: requests accumulate in arrival order, grouped
-/// by destination server, and [`BatchQueue::ship`] flushes every group as
-/// one batched exchange (or as plain RPCs with batching off).
-pub(crate) struct BatchQueue {
-    /// Groups in first-use order: `(server, indices into the flat list)`.
-    groups: Vec<(ServerId, Vec<usize>)>,
-    /// Every queued request, in push order.
-    reqs: Vec<Option<Request>>,
+/// Unpacks the reply to a batch of `n` entries into the per-entry replies,
+/// preserving entry order. A transport-level failure (or a protocol
+/// mismatch) fails every entry.
+fn unbatch(reply: WireReply, n: usize) -> Vec<WireReply> {
+    match reply {
+        Ok(Reply::Batch(replies)) if replies.len() == n => replies,
+        Ok(other) => {
+            debug_assert!(false, "batch protocol mismatch: {other:?}");
+            vec![Err(Errno::EIO); n]
+        }
+        Err(e) => vec![Err(e); n],
+    }
 }
 
-impl BatchQueue {
-    /// An empty queue.
-    pub(crate) fn new() -> BatchQueue {
-        BatchQueue {
-            groups: Vec::new(),
-            reqs: Vec::new(),
-        }
-    }
-
-    /// Queues `req` for `server`, preserving global push order within the
-    /// server's group. Returns the request's reply index.
-    pub(crate) fn push(&mut self, server: ServerId, req: Request) -> usize {
-        let idx = self.reqs.len();
-        self.reqs.push(Some(req));
-        match self.groups.iter_mut().find(|(s, _)| *s == server) {
-            Some((_, idxs)) => idxs.push(idx),
-            None => self.groups.push((server, vec![idx])),
-        }
-        idx
-    }
-
-    /// Number of queued requests.
-    pub(crate) fn len(&self) -> usize {
-        self.reqs.len()
-    }
+/// Whether a reply stops a fail-fast sequence: a failure, or a `NotOwner`
+/// redirect (which did not execute its entry, so later entries must not
+/// run ahead of the re-routed one — the server-side fail-fast rule).
+fn aborts(r: &WireReply) -> bool {
+    r.is_err() || matches!(r, Ok(Reply::NotOwner { .. }))
 }
 
 impl ClientLib {
@@ -72,157 +56,82 @@ impl ClientLib {
         reqs: Vec<(ServerId, Request)>,
         fail_fast: bool,
     ) -> Vec<WireReply> {
-        if !self.params.techniques.batching {
-            return self.call_ungrouped(reqs, fail_fast);
-        }
         if fail_fast {
-            return self.ship_ordered(reqs);
+            self.ship_ordered(reqs)
+        } else if self.params.techniques.batching {
+            self.ship(reqs)
+        } else {
+            self.exchange(reqs)
         }
-        let mut q = BatchQueue::new();
-        for (server, req) in reqs {
-            q.push(server, req);
-        }
-        self.ship(q)
     }
 
-    /// The ordered (fail-fast) ship: batches only *consecutive* runs of
-    /// same-server requests, executing runs sequentially in input order and
-    /// skipping everything after the first failure. This preserves global
-    /// order even when same-server requests interleave with other servers'.
+    /// The ordered (fail-fast) ship: executes runs sequentially in input
+    /// order, skipping everything after the first failure. With batching,
+    /// a run is a *consecutive* stretch of same-server requests sharing one
+    /// exchange; without, every request is its own run. This preserves
+    /// global order even when same-server requests interleave with other
+    /// servers'.
     fn ship_ordered(&self, reqs: Vec<(ServerId, Request)>) -> Vec<WireReply> {
-        let total = reqs.len();
-        let mut out = Vec::with_capacity(total);
+        let batching = self.params.techniques.batching;
+        let mut out = Vec::with_capacity(reqs.len());
         let mut it = reqs.into_iter().peekable();
         let mut abort = false;
         while let Some((server, req)) = it.next() {
             let mut run = vec![req];
-            while let Some((s, _)) = it.peek() {
-                if *s != server {
-                    break;
-                }
+            while batching && it.peek().is_some_and(|(s, _)| *s == server) {
                 run.push(it.next().expect("peeked").1);
             }
             if abort {
                 out.extend(run.iter().map(|_| Err(Errno::EAGAIN)));
                 continue;
             }
-            let replies = rpc::call_batch(
-                &self.machine,
-                &self.entity,
-                &self.servers[server as usize],
-                run,
-                true,
-            );
-            // A NotOwner redirect did not execute its entry: later runs
-            // must not run ahead of the re-routed one (same rule as the
-            // server-side fail-fast skip).
-            abort = replies
-                .iter()
-                .any(|r| r.is_err() || matches!(r, Ok(crate::proto::Reply::NotOwner { .. })));
-            out.extend(replies);
+            let start = out.len();
+            if batching {
+                let n = run.len();
+                let batch = Request::Batch {
+                    reqs: run,
+                    fail_fast: true,
+                };
+                out.extend(unbatch(self.call(server, batch), n));
+            } else {
+                out.extend(run.into_iter().map(|req| self.call(server, req)));
+            }
+            abort = out[start..].iter().any(aborts);
         }
-        debug_assert_eq!(out.len(), total);
         out
     }
 
-    /// Flushes a [`BatchQueue`]: one exchange per server group, replies
-    /// returned in push order.
-    pub(crate) fn ship(&self, mut q: BatchQueue) -> Vec<WireReply> {
-        let mut out: Vec<WireReply> = (0..q.len()).map(|_| Err(Errno::EIO)).collect();
-        // Independent groups: overlap the exchanges like a broadcast.
-        // Overlap stays gated on the broadcast technique so the two
-        // ablations remain orthogonal — batching controls grouping,
-        // broadcast controls fan-out parallelism.
-        if self.params.techniques.broadcast {
-            let pending: Vec<_> = q
-                .groups
-                .iter()
-                .map(|(server, idxs)| {
-                    let batch = idxs
-                        .iter()
-                        .map(|&i| q.reqs[i].take().expect("each request shipped once"))
-                        .collect();
-                    rpc::send_batch(
-                        &self.machine,
-                        &self.entity,
-                        &self.servers[*server as usize],
-                        batch,
-                        false,
-                    )
-                })
-                .collect();
-            for ((_, idxs), p) in q.groups.iter().zip(pending) {
-                let replies = rpc::wait_batch(&self.machine, &self.entity, p);
-                for (&i, r) in idxs.iter().zip(replies) {
-                    out[i] = r;
+    /// Groups `reqs` by server (first-use order, push order within a
+    /// group), ships each group as one batch through
+    /// [`ClientLib::exchange`], and returns replies in input order.
+    fn ship(&self, reqs: Vec<(ServerId, Request)>) -> Vec<WireReply> {
+        let mut out: Vec<WireReply> = reqs.iter().map(|_| Err(Errno::EIO)).collect();
+        let mut groups: Vec<(ServerId, Vec<usize>, Vec<Request>)> = Vec::new();
+        for (i, (server, req)) in reqs.into_iter().enumerate() {
+            match groups.iter_mut().find(|(s, _, _)| *s == server) {
+                Some((_, idxs, batch)) => {
+                    idxs.push(i);
+                    batch.push(req);
                 }
+                None => groups.push((server, vec![i], vec![req])),
             }
-            return out;
         }
-        for (server, idxs) in &q.groups {
-            let batch = idxs
-                .iter()
-                .map(|&i| q.reqs[i].take().expect("each request shipped once"))
-                .collect();
-            let replies = rpc::call_batch(
-                &self.machine,
-                &self.entity,
-                &self.servers[*server as usize],
-                batch,
-                false,
-            );
-            for (&i, r) in idxs.iter().zip(replies) {
+        let (idxs, batches): (Vec<_>, Vec<_>) = groups
+            .into_iter()
+            .map(|(server, idxs, reqs)| {
+                let batch = Request::Batch {
+                    reqs,
+                    fail_fast: false,
+                };
+                (idxs, (server, batch))
+            })
+            .unzip();
+        for (idxs, reply) in idxs.into_iter().zip(self.exchange(batches)) {
+            let n = idxs.len();
+            for (i, r) in idxs.into_iter().zip(unbatch(reply, n)) {
                 out[i] = r;
             }
         }
         out
-    }
-
-    /// The batching-off fallback: per-request RPCs with the legacy
-    /// overlap/ordering rules.
-    pub(crate) fn call_ungrouped(
-        &self,
-        reqs: Vec<(ServerId, Request)>,
-        fail_fast: bool,
-    ) -> Vec<WireReply> {
-        if fail_fast {
-            // Sequential with early exit, like the hand-written call
-            // sequences this path replaces.
-            let mut out = Vec::with_capacity(reqs.len());
-            let mut abort = false;
-            for (server, req) in reqs {
-                if abort {
-                    out.push(Err(Errno::EAGAIN));
-                    continue;
-                }
-                let r = self.call(server, req);
-                abort = r.is_err() || matches!(r, Ok(crate::proto::Reply::NotOwner { .. }));
-                out.push(r);
-            }
-            return out;
-        }
-        if self.params.techniques.broadcast {
-            let pending: Vec<_> = reqs
-                .into_iter()
-                .map(|(server, req)| {
-                    rpc::send_call(
-                        &self.machine,
-                        &self.entity,
-                        &self.servers[server as usize],
-                        req,
-                    )
-                })
-                .collect();
-            return pending
-                .into_iter()
-                .map(|p| match p {
-                    Ok(p) => rpc::wait_call(&self.machine, &self.entity, p),
-                    Err(e) => Err(e),
-                })
-                .collect();
-        }
-        reqs.into_iter()
-            .map(|(server, req)| self.call(server, req))
-            .collect()
     }
 }

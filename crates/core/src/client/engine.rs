@@ -111,11 +111,11 @@ impl ClientLib {
             Step::Call(server, req) => vec![self.call(server, req)],
             Step::Grouped(reqs) => self.call_grouped(reqs, false),
             Step::Ordered(reqs) => self.call_grouped(reqs, true),
-            // Per-request RPCs with the legacy overlap rules: fan-out
-            // parallelism stays gated on the broadcast technique (inside
-            // `call_ungrouped`), so the ablations remain orthogonal —
-            // with it off, the requests go out as sequential round trips.
-            Step::Overlapped(reqs) => self.call_ungrouped(reqs, false),
+            // Per-request RPCs: fan-out parallelism stays gated on the
+            // broadcast technique (inside `exchange`), so the ablations
+            // remain orthogonal — with it off, the requests go out as
+            // sequential round trips.
+            Step::Overlapped(reqs) => self.exchange(reqs),
         }
     }
 }

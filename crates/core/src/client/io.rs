@@ -3,8 +3,8 @@
 
 use super::fd::{ExportedFd, FdEntry, FdMode};
 use super::{expect_reply, ClientLib};
-use crate::proto::{DemoteInfo, ExtentMap, Reply, Request};
-use crate::rpc::{self, PendingCall};
+use crate::proto::{DemoteInfo, ExtentMap, Reply, Request, WireReply};
+use crate::rpc;
 use fsapi::{Errno, FileType, FsResult, OpenFlags, Stat, Whence};
 use nccmem::BLOCK_SIZE;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -28,7 +28,7 @@ pub(crate) struct Readahead {
     /// Index of the next stripe to request.
     next_stripe: u64,
     /// Outstanding fetches, oldest first (collected in send order).
-    inflight: VecDeque<(u64, PendingCall)>,
+    inflight: VecDeque<(u64, msg::Receiver<WireReply>)>,
     /// Fetched stripes awaiting consumption: stripe index → payload.
     ready: HashMap<u64, Arc<[u8]>>,
 }
@@ -267,9 +267,9 @@ impl ClientLib {
             }
             // Collect replies (send order) until stripe `s` is in hand.
             while !ra.ready.contains_key(&s) {
-                let (idx, p) = ra.inflight.pop_front().expect("stripe was requested");
+                let (idx, rx) = ra.inflight.pop_front().expect("stripe was requested");
                 let data = expect_reply!(
-                    rpc::wait_call(&self.machine, &self.entity, p),
+                    rpc::wait(&self.machine, &self.entity, &rx),
                     Reply::Data { data, _eof } => data
                 )?;
                 ra.ready.insert(idx, data);
@@ -320,7 +320,7 @@ impl ClientLib {
         blocks: &[nccmem::BlockId],
         size: u64,
         stripe: u64,
-    ) -> FsResult<PendingCall> {
+    ) -> FsResult<msg::Receiver<WireReply>> {
         let su = em.stripe_unit;
         let start = stripe * su;
         let len = su.min(size - start);
@@ -328,17 +328,15 @@ impl ClientLib {
         let b0 = (stripe as usize) * bps;
         let b1 = (b0 + bps).min(blocks.len());
         let slice = blocks.get(b0..b1).unwrap_or(&[]).to_vec();
-        let server = em.server_of(stripe);
-        rpc::send_call(
-            &self.machine,
-            &self.entity,
-            &self.servers[server as usize],
-            Request::ReadStripe {
-                blocks: slice,
-                offset: 0,
-                len,
-            },
-        )
+        let server = &self.servers[em.server_of(stripe) as usize];
+        let req = Request::ReadStripe {
+            blocks: slice,
+            offset: 0,
+            len,
+        };
+        let (tx, rx) = msg::channel(Arc::clone(&self.machine.msg_stats));
+        rpc::send(&self.machine, &self.entity, server, req, tx)?;
+        Ok(rx)
     }
 
     /// Direct buffer-cache read through this core's private cache

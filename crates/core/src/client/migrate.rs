@@ -7,16 +7,13 @@
 //! shard), `MigrateInstall` at the destination, `MigrateCommit` back at
 //! the source (which starts redirecting and replays parked operations).
 //! The rebalancer reads every server's load counters in one grouped
-//! exchange, asks [`crate::placement::plan_rebalance`] for a decision, and
-//! drives the migration it returns. Everything here is a no-op with the
-//! `rebalancing` technique off, so the ablation (and every pinned exchange
-//! count) sees the static system.
+//! exchange, asks [`crate::placement::plan_rebalance_actions`] for a
+//! decision, and drives the migration or replication it returns.
+//! Everything here is a no-op with the `rebalancing` technique off, so the
+//! ablation (and every pinned exchange count) sees the static system.
 
 use super::{expect_reply, ClientLib};
-use crate::placement::{
-    plan_rebalance, plan_rebalance_actions, LoadReport, MigrationPlan, RebalanceAction,
-    RebalancePolicy, Rebalancer,
-};
+use crate::placement::{plan_rebalance_actions, LoadReport, RebalanceAction, Rebalancer};
 use crate::proto::{Reply, Request};
 use crate::types::{InodeId, ServerId};
 use fsapi::{Errno, FsResult};
@@ -66,35 +63,7 @@ impl ClientLib {
         self.drive_migration(dir.ino, to)
     }
 
-    /// One rebalancing pass: probe every server's load, nominate the hot
-    /// server's dominant directories, and drive the first migratable one
-    /// to the least-loaded server. Returns the migration performed, if
-    /// any. No-op (`Ok(None)`) with the `rebalancing` technique off, when
-    /// the load is balanced, or when no candidate turns out migratable —
-    /// a hot-but-unmigratable directory (distributed, concurrently
-    /// removed, or racing an rmdir) is skipped, not allowed to mask a
-    /// migratable runner-up.
-    pub fn rebalance_once(&self, policy: &RebalancePolicy) -> FsResult<Option<MigrationPlan>> {
-        if !self.params.techniques.rebalancing {
-            return Ok(None);
-        }
-        let reports = self.server_loads(true)?;
-        for plan in plan_rebalance(&reports, policy) {
-            match self.drive_migration(plan.dir, plan.to) {
-                Ok(true) => return Ok(Some(plan)),
-                // Not migratable after all (the source refused:
-                // distributed or already gone; EAGAIN: lost a race with an
-                // rmdir or another migration) — try the next candidate.
-                Ok(false) | Err(Errno::EINVAL) | Err(Errno::ENOENT) | Err(Errno::ENOTDIR)
-                | Err(Errno::EAGAIN) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
-    }
-
-    /// One tick of the **background** rebalancer: the cadence-driven
-    /// sibling of [`ClientLib::rebalance_once`]. Call it periodically
+    /// One tick of the **background** rebalancer. Call it periodically
     /// from whatever loop owns the virtual clock (a trace replay's window
     /// boundaries, a bench's inter-burst points); the [`Rebalancer`]
     /// decides whether this tick probes at all (cadence), and whether a
@@ -103,36 +72,22 @@ impl ClientLib {
     /// skewed probe never triggers an action. The planner classifies each
     /// confirmed hot directory by its write share: read-mostly ones gain
     /// a read **replica** on the coolest server, churny ones **migrate**
-    /// wholesale. Returns the action performed, if any; `Ok(None)` covers
-    /// every quiet case, and the whole tick is a no-op with the
-    /// `rebalancing` technique off. With `replication` off (but
-    /// `rebalancing` on) the tick runs the migrate-only planner, exactly
-    /// the pre-replication dynamic system.
+    /// wholesale. Candidates are tried hottest first, and one that turns
+    /// out unactionable (distributed, concurrently removed, or racing an
+    /// rmdir) is skipped, not allowed to mask an actionable runner-up.
+    /// Returns the action performed, if any; `Ok(None)` covers every quiet
+    /// case, and the whole tick is a no-op with the `rebalancing`
+    /// technique off. With `replication` off (but `rebalancing` on) every
+    /// candidate migrates, exactly the pre-replication dynamic system.
     pub fn rebalance_tick(&self, reb: &mut Rebalancer) -> FsResult<Option<RebalanceAction>> {
         if !self.params.techniques.rebalancing || !reb.due(self.vnow()) {
             return Ok(None);
         }
         let reports = self.server_loads(true)?;
-        if !self.params.techniques.replication {
-            let nominated = plan_rebalance(&reports, reb.policy());
-            for plan in reb.observe(self.vnow(), &nominated) {
-                match self.drive_migration(plan.dir, plan.to) {
-                    Ok(true) => {
-                        reb.committed(self.vnow());
-                        return Ok(Some(RebalanceAction::Migrate(plan)));
-                    }
-                    // Same skip set as `rebalance_once`: an unmigratable
-                    // candidate must not mask a migratable runner-up.
-                    Ok(false) | Err(Errno::EINVAL) | Err(Errno::ENOENT) | Err(Errno::ENOTDIR)
-                    | Err(Errno::EAGAIN) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            return Ok(None);
-        }
         let nominated = {
             let routing = self.routing.lock();
-            plan_rebalance_actions(&reports, reb.policy(), &routing)
+            let replicate = self.params.techniques.replication;
+            plan_rebalance_actions(&reports, reb.policy(), &routing, replicate)
         };
         for action in reb.observe_actions(self.vnow(), &nominated) {
             let done = match &action {
@@ -144,8 +99,9 @@ impl ClientLib {
                     reb.committed(self.vnow());
                     return Ok(Some(action));
                 }
-                // Same skip set as `rebalance_once`: an unactionable
-                // candidate must not mask an actionable runner-up.
+                // Not actionable after all (the source refused:
+                // distributed or already gone; EAGAIN: lost a race with an
+                // rmdir or another migration) — try the next candidate.
                 Ok(false) | Err(Errno::EINVAL) | Err(Errno::ENOENT) | Err(Errno::ENOTDIR)
                 | Err(Errno::EAGAIN) => {}
                 Err(e) => return Err(e),

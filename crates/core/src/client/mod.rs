@@ -98,10 +98,13 @@ pub struct ClientLib {
     /// exchange is ever spent choosing a replica.
     read_load: Mutex<Vec<u64>>,
     /// Reusable reply channel for the serial blocking [`ClientLib::call`]
-    /// path (a process is a single thread of control, so at most one such
-    /// call is outstanding). Overlapped exchanges — readahead pipelines,
-    /// batched fan-outs — keep per-call channels.
-    reply_slot: rpc::ReplySlot,
+    /// path: a process is a single thread of control, so at most one such
+    /// call is outstanding, and steady-state calls allocate no channel.
+    /// Overlapped exchanges — readahead pipelines, fan-outs — keep
+    /// per-request channels, since replies on a shared queue would arrive
+    /// in completion order.
+    reply_tx: msg::Sender<WireReply>,
+    reply_rx: msg::Receiver<WireReply>,
     detached: AtomicBool,
 }
 
@@ -119,7 +122,7 @@ impl ClientLib {
         let entity = Entity::new(params.core, params.start_time);
         let dircache_capacity = params.dircache_capacity;
         let nservers = servers.len();
-        let reply_slot = rpc::ReplySlot::new(Arc::clone(&machine.msg_stats));
+        let (reply_tx, reply_rx) = msg::channel(Arc::clone(&machine.msg_stats));
         let lib = ClientLib {
             machine,
             servers,
@@ -133,25 +136,27 @@ impl ClientLib {
             }),
             routing: Mutex::new(RoutingTable::new()),
             read_load: Mutex::new(vec![0; nservers]),
-            reply_slot,
+            reply_tx,
+            reply_rx,
             detached: AtomicBool::new(false),
         };
         // Registration fan-out: one RPC per server, overlapped like a
         // directory broadcast when the technique allows. (Register carries
         // the invalidation channel, which a batch envelope cannot ship, so
         // it overlaps rather than batches.)
-        let replies = rpc::multicall(
-            &lib.machine,
-            &lib.entity,
-            &lib.servers,
-            lib.params.techniques.broadcast,
-            |_| Request::Register {
-                client: lib.params.id,
-                core: lib.params.core,
-                inval: inval_tx.clone(),
-            },
-        );
-        for r in replies {
+        let (client, core) = (lib.params.id, lib.params.core);
+        let register = |s: &ServerHandle| {
+            let inval = inval_tx.clone();
+            (
+                s.id,
+                Request::Register {
+                    client,
+                    core,
+                    inval,
+                },
+            )
+        };
+        for r in lib.exchange(lib.servers.iter().map(register).collect()) {
             expect_reply!(r, Reply::Unit => ())?;
         }
         Ok(lib)
@@ -184,14 +189,35 @@ impl ClientLib {
 
     // ----- RPC helpers -----------------------------------------------------
 
+    /// One blocking exchange with `server` through the reusable reply
+    /// channel.
     pub(crate) fn call(&self, server: ServerId, req: Request) -> WireReply {
-        rpc::call_reusing(
-            &self.machine,
-            &self.entity,
-            &self.servers[server as usize],
-            req,
-            &self.reply_slot,
-        )
+        let (to, reply) = (&self.servers[server as usize], self.reply_tx.clone());
+        rpc::send(&self.machine, &self.entity, to, req, reply)?;
+        rpc::wait(&self.machine, &self.entity, &self.reply_rx)
+    }
+
+    /// One exchange per `(server, request)` pair, replies in input order.
+    /// With the broadcast technique (§3.6.2) every request is sent back to
+    /// back before the first wait, overlapping the latencies and the
+    /// servers' service; without it, each is a full round trip before the
+    /// next. Every request has its own reply channel, so a dropped one
+    /// reads as `EIO` instead of hanging its siblings.
+    fn exchange(&self, reqs: Vec<(ServerId, Request)>) -> Vec<WireReply> {
+        let send = |(server, req): (ServerId, Request)| {
+            let (tx, rx) = msg::channel(Arc::clone(&self.machine.msg_stats));
+            let to = &self.servers[server as usize];
+            rpc::send(&self.machine, &self.entity, to, req, tx).map(|()| rx)
+        };
+        let wait = |sent: Result<msg::Receiver<WireReply>, Errno>| {
+            rpc::wait(&self.machine, &self.entity, &sent?)
+        };
+        if self.params.techniques.broadcast {
+            let sent: Vec<_> = reqs.into_iter().map(send).collect();
+            sent.into_iter().map(wait).collect()
+        } else {
+            reqs.into_iter().map(|r| wait(send(r))).collect()
+        }
     }
 
     /// Charges client-side CPU work to this process.

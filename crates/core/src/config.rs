@@ -214,12 +214,6 @@ pub struct HareConfig {
     /// (hits and misses alike). Evicting a slot invalidates its tracked
     /// clients first, so bounding this state never leaves a stale cache.
     pub server_track_capacity: usize,
-    /// Load-aware remote-execution placement: when on, the round-robin
-    /// exec policy prefers the application core whose co-located file
-    /// server has served the fewest operations (ties rotate through the
-    /// round-robin cursor), instead of blindly cycling. Off by default —
-    /// the paper's §3.5 policies are load-blind.
-    pub load_aware_exec: bool,
     /// Stripe unit of the striped data plane in bytes (a multiple of the
     /// block size). Only meaningful with `techniques.striping` and
     /// `stripe_width ≥ 2`.
@@ -279,7 +273,6 @@ impl HareConfig {
             pipe_capacity: 64 * 1024,
             dircache_capacity: 4096,
             server_track_capacity: 8192,
-            load_aware_exec: false,
             stripe_unit: 64 * 1024,
             stripe_width: 1,
             readahead_window: 4,

@@ -100,31 +100,16 @@ pub struct Machine {
     pub msg_stats: Arc<msg::MsgStats>,
     /// Number of runnable entities resident on each core.
     entities: Vec<AtomicUsize>,
-    /// The cores hosting file servers, by server id (placement and
-    /// load-aware exec need the core ↔ server mapping).
-    server_cores: Vec<usize>,
     /// Operations served per file server — the machine-level mirror of the
-    /// servers' own op counters, readable without an RPC (load-aware exec
-    /// placement, diagnostics). The protocol-level view travels as
-    /// `Request::LoadReport`.
+    /// servers' own op counters, readable without an RPC (diagnostics).
+    /// The protocol-level view travels as `Request::LoadReport`.
     server_ops: Vec<AtomicU64>,
-    /// Rolling baselines for load-aware exec placement: every
-    /// [`PLACEMENT_WINDOW`]-th [`Machine::placement_tick`] snapshots
-    /// `server_ops` here, so placement compares *recent* load, not
-    /// ops-since-boot — a formerly hot but now idle server must not repel
-    /// new processes forever.
-    placement_base: Vec<AtomicU64>,
-    /// Exec placements since boot (drives the baseline roll).
-    placement_ticks: AtomicU64,
     /// Event counters for the time-series observability layer.
     pub events: EventCounters,
     /// Per-operation causal span recorder ([`crate::otrace`]); a no-op
     /// unless the config enabled `trace_ops`.
     pub otrace: crate::otrace::Tracer,
 }
-
-/// Exec placements between rolls of the load-aware placement baseline.
-const PLACEMENT_WINDOW: u64 = 16;
 
 /// Monotone counters for the rare-but-interesting events the time-series
 /// observability layer (`crate::metrics`) windows over virtual time:
@@ -178,10 +163,7 @@ impl Machine {
                 .collect(),
             msg_stats: msg::MsgStats::shared(),
             entities: (0..cfg.ncores).map(|_| AtomicUsize::new(0)).collect(),
-            server_cores: cfg.server_cores.clone(),
             server_ops: cfg.server_cores.iter().map(|_| AtomicU64::new(0)).collect(),
-            placement_base: cfg.server_cores.iter().map(|_| AtomicU64::new(0)).collect(),
-            placement_ticks: AtomicU64::new(0),
             events: EventCounters::default(),
             otrace: crate::otrace::Tracer::new(cfg.trace_ops),
         })
@@ -198,45 +180,6 @@ impl Machine {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Operations served by the file server co-located on `core` (0 when
-    /// the core hosts no server — a dedicated application core).
-    pub fn server_ops_on_core(&self, core: usize) -> u64 {
-        self.server_cores
-            .iter()
-            .position(|&c| c == core)
-            .map_or(0, |s| self.server_ops[s].load(Ordering::Relaxed))
-    }
-
-    /// Advances the load-aware placement clock: every
-    /// `PLACEMENT_WINDOW`-th call rolls the baselines so
-    /// [`Machine::recent_server_ops_on_core`] reflects the current window.
-    /// Called once per exec placement.
-    pub fn placement_tick(&self) {
-        if self
-            .placement_ticks
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(PLACEMENT_WINDOW)
-        {
-            for (base, ops) in self.placement_base.iter().zip(&self.server_ops) {
-                base.store(ops.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Operations served *this placement window* by the file server
-    /// co-located on `core` (0 when the core hosts no server). The
-    /// windowed signal load-aware exec placement compares.
-    pub fn recent_server_ops_on_core(&self, core: usize) -> u64 {
-        self.server_cores
-            .iter()
-            .position(|&c| c == core)
-            .map_or(0, |s| {
-                self.server_ops[s]
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(self.placement_base[s].load(Ordering::Relaxed))
-            })
     }
 
     /// Number of cores.
@@ -342,31 +285,6 @@ mod tests {
         assert_eq!(m.latency(0, 0), m.cost.lat_same_core);
         assert_eq!(m.latency(0, 5), m.cost.lat_same_socket);
         assert_eq!(m.latency(0, 15), m.cost.lat_cross_socket);
-    }
-
-    #[test]
-    fn placement_load_is_windowed_not_cumulative() {
-        let m = machine(); // timeshare(4): server s runs on core s
-        for _ in 0..1_000 {
-            m.record_server_op(0);
-        }
-        // First tick opens a window: the old million-op history vanishes
-        // from the recent signal.
-        m.placement_tick();
-        assert_eq!(m.recent_server_ops_on_core(0), 0);
-        assert_eq!(m.server_ops_on_core(0), 1_000, "cumulative view intact");
-        // Load inside the window is visible...
-        for _ in 0..7 {
-            m.record_server_op(0);
-        }
-        m.record_server_op(1);
-        assert_eq!(m.recent_server_ops_on_core(0), 7);
-        assert_eq!(m.recent_server_ops_on_core(1), 1);
-        // ...until enough placements roll the baseline again.
-        for _ in 0..super::PLACEMENT_WINDOW {
-            m.placement_tick();
-        }
-        assert_eq!(m.recent_server_ops_on_core(0), 0);
     }
 
     #[test]

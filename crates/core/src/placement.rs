@@ -405,7 +405,7 @@ impl RebalanceAction {
     }
 }
 
-/// Tuning knobs for [`plan_rebalance`].
+/// Tuning knobs for [`plan_rebalance_actions`].
 #[derive(Debug, Clone, Copy)]
 pub struct RebalancePolicy {
     /// A server must have served at least this many operations to be
@@ -441,36 +441,12 @@ impl Default for RebalancePolicy {
     }
 }
 
-/// The load-aware rebalancing decision, as a pure function of the load
-/// reports so it is unit-testable without a machine: find the hottest and
-/// coolest servers; if the imbalance clears the policy bar, nominate
-/// every hot-server directory that carries enough of its load, hottest
-/// first. The root is never nominated; whether a candidate is
-/// *distributed* (and therefore unmigratable) only its home server
-/// knows, so the driver tries candidates in order and skips the ones the
-/// source refuses — a hot-but-unmigratable directory must not mask a
-/// migratable runner-up.
-pub fn plan_rebalance(reports: &[LoadReport], policy: &RebalancePolicy) -> Vec<MigrationPlan> {
-    nominate(reports, policy)
-        .map(|(hot, cool, dirs)| {
-            dirs.into_iter()
-                .map(|(dir, _, _)| MigrationPlan {
-                    dir,
-                    from: hot,
-                    to: cool,
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// A nominated candidate's `(dir, ops, writes)` load triple.
 type DirLoad = (InodeId, u64, u64);
 
-/// The hottest-vs-coolest nomination shared by [`plan_rebalance`] and
-/// [`plan_rebalance_actions`]: `(hot server, cool server, candidate
-/// [`DirLoad`] triples hottest first)`, or `None` when the load picture
-/// clears no bar.
+/// The hottest-vs-coolest nomination behind [`plan_rebalance_actions`]:
+/// `(hot server, cool server, candidate [`DirLoad`] triples hottest
+/// first)`, or `None` when the load picture clears no bar.
 fn nominate(
     reports: &[LoadReport],
     policy: &RebalancePolicy,
@@ -496,28 +472,39 @@ fn nominate(
     (!dirs.is_empty()).then_some((hot.server, cool.server, dirs))
 }
 
-/// The replication-aware sibling of [`plan_rebalance`]: the same
-/// hottest-vs-coolest nomination, but each candidate is classified by its
-/// **write share**. A read-mostly directory (writes / ops ≤
+/// The load-aware rebalancing decision, as a pure function of the load
+/// reports so it is unit-testable without a machine: find the hottest and
+/// coolest servers; if the imbalance clears the policy bar, nominate
+/// every hot-server directory that carries enough of its load, hottest
+/// first. The root is never nominated; whether a candidate is
+/// *distributed* (and therefore unmigratable) only its home server
+/// knows, so the driver tries candidates in order and skips the ones the
+/// source refuses — a hot-but-unmigratable directory must not mask a
+/// migratable runner-up.
+///
+/// Each candidate is classified by its **write share**. With `replicate`
+/// on, a read-mostly directory (writes / ops ≤
 /// [`RebalancePolicy::max_replica_write_share`]) becomes a
 /// [`RebalanceAction::Replicate`] targeting the coolest server — reads
 /// multiply across the grown read set while writes keep serializing at
-/// the home; a churning one becomes a [`RebalanceAction::Migrate`]
-/// exactly as before. `routing` supplies the caller's replica knowledge
-/// so a directory already replicated onto the cool server (or at the
-/// [`RebalancePolicy::max_replicas`] cap) degrades to the migrate/skip
-/// path instead of piling copies on one server.
+/// the home; a churning one (and, with `replicate` off, every one)
+/// becomes a [`RebalanceAction::Migrate`]. `routing` supplies the
+/// caller's replica knowledge so a directory already replicated onto the
+/// cool server (or at the [`RebalancePolicy::max_replicas`] cap) degrades
+/// to the migrate/skip path instead of piling copies on one server.
 pub fn plan_rebalance_actions(
     reports: &[LoadReport],
     policy: &RebalancePolicy,
     routing: &RoutingTable,
+    replicate: bool,
 ) -> Vec<RebalanceAction> {
     let Some((hot, cool, dirs)) = nominate(reports, policy) else {
         return Vec::new();
     };
     dirs.into_iter()
         .filter_map(|(dir, ops, writes)| {
-            let read_mostly = (writes as f64) <= (ops as f64) * policy.max_replica_write_share;
+            let read_mostly =
+                replicate && (writes as f64) <= (ops as f64) * policy.max_replica_write_share;
             let replicas = routing
                 .replicas_of(dir)
                 .map(|r| r.servers.clone())
@@ -578,7 +565,7 @@ impl Default for RebalanceCadence {
 /// The background rebalancer's decision state: *when* to probe and *when*
 /// a nomination is trustworthy. Pure virtual-time bookkeeping — the RPCs
 /// (probing, migrating) live in `ClientLib::rebalance_tick`, so this is
-/// unit-testable without a machine, like [`plan_rebalance`].
+/// unit-testable without a machine, like [`plan_rebalance_actions`].
 #[derive(Debug)]
 pub struct Rebalancer {
     policy: RebalancePolicy,
@@ -610,44 +597,22 @@ impl Rebalancer {
         now >= self.next_probe
     }
 
-    /// Feeds one probe's nominations (from [`plan_rebalance`], hottest
-    /// first) taken at virtual time `now`. Returns the plans to execute —
-    /// empty until [`RebalanceCadence::confirm`] consecutive probes have
-    /// agreed on the hottest directory; an empty or disagreeing probe
-    /// restarts the streak.
-    pub fn observe(&mut self, now: u64, plans: &[MigrationPlan]) -> Vec<MigrationPlan> {
-        if self.confirmed(now, plans.first().map(|p| p.dir)) {
-            plans.to_vec()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// The action-typed sibling of [`Rebalancer::observe`] for
-    /// [`plan_rebalance_actions`] nominations: identical cadence and
-    /// hysteresis (the streak keys on the nominated directory, so a
-    /// candidate flapping between replicate and migrate still counts as
-    /// agreement on *where* the heat is).
+    /// Feeds one probe's nominations (from [`plan_rebalance_actions`],
+    /// hottest first) taken at virtual time `now`. Returns the actions to
+    /// execute — empty until [`RebalanceCadence::confirm`] consecutive
+    /// probes have agreed on the hottest directory; an empty or
+    /// disagreeing probe restarts the streak. The streak keys on the
+    /// nominated directory, so a candidate flapping between replicate and
+    /// migrate still counts as agreement on *where* the heat is.
     pub fn observe_actions(
         &mut self,
         now: u64,
         actions: &[RebalanceAction],
     ) -> Vec<RebalanceAction> {
-        if self.confirmed(now, actions.first().map(|a| a.dir())) {
-            actions.to_vec()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Shared streak bookkeeping: feeds the hottest nominated directory
-    /// (if any) of a probe at `now` and reports whether the hysteresis
-    /// bar is cleared.
-    fn confirmed(&mut self, now: u64, first_dir: Option<InodeId>) -> bool {
         self.next_probe = now + self.cadence.probe_interval;
-        let Some(first) = first_dir else {
+        let Some(first) = actions.first().map(|a| a.dir()) else {
             self.streak = None;
-            return false;
+            return Vec::new();
         };
         let n = match self.streak {
             Some((dir, n)) if dir == first => n + 1,
@@ -655,10 +620,10 @@ impl Rebalancer {
         };
         if n >= self.cadence.confirm {
             self.streak = None;
-            true
+            actions.to_vec()
         } else {
             self.streak = Some((first, n));
-            false
+            Vec::new()
         }
     }
 
@@ -831,23 +796,23 @@ mod tests {
             report(1, 100, &[]),
             report(2, 200, &[]),
         ];
-        let plans = plan_rebalance(&reports, &p);
+        let plans = plan_rebalance_actions(&reports, &p, &RoutingTable::new(), true);
         // Both directories above the share bar are nominated (so an
         // unmigratable hottest cannot mask the runner-up); the 50-op one
         // is below the bar and dropped.
         assert_eq!(
             plans,
             vec![
-                MigrationPlan {
+                RebalanceAction::Migrate(MigrationPlan {
                     dir: DIR,
                     from: 0,
                     to: 1
-                },
-                MigrationPlan {
+                }),
+                RebalanceAction::Migrate(MigrationPlan {
                     dir: second,
                     from: 0,
                     to: 1
-                },
+                }),
             ]
         );
     }
@@ -855,23 +820,25 @@ mod tests {
     #[test]
     fn rebalance_never_nominates_the_root() {
         let p = RebalancePolicy::default();
-        let plans = plan_rebalance(
+        let plans = plan_rebalance_actions(
             &[
                 report(0, 1000, &[(InodeId::ROOT, 900), (DIR, 400)]),
                 report(1, 10, &[]),
             ],
             &p,
+            &RoutingTable::new(),
+            true,
         );
         assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].dir, DIR);
+        assert_eq!(plans[0].dir(), DIR);
     }
 
-    fn plan(dir: InodeId) -> MigrationPlan {
-        MigrationPlan {
+    fn plan(dir: InodeId) -> RebalanceAction {
+        RebalanceAction::Migrate(MigrationPlan {
             dir,
             from: 0,
             to: 1,
-        }
+        })
     }
 
     #[test]
@@ -884,11 +851,11 @@ mod tests {
         let mut r = Rebalancer::new(RebalancePolicy::default(), cadence);
         assert!(r.due(0), "first probe is immediate");
         // First nomination: streak of 1, nothing executes yet.
-        assert!(r.observe(0, &[plan(DIR)]).is_empty());
+        assert!(r.observe_actions(0, &[plan(DIR)]).is_empty());
         assert!(!r.due(50), "cadence: next probe not yet due");
         assert!(r.due(100));
         // Second agreeing nomination: confirmed.
-        let go = r.observe(100, &[plan(DIR)]);
+        let go = r.observe_actions(100, &[plan(DIR)]);
         assert_eq!(go, vec![plan(DIR)]);
         r.committed(150);
         assert!(!r.due(1000), "cooldown outlasts the probe interval");
@@ -904,14 +871,17 @@ mod tests {
         };
         let other = InodeId { server: 2, num: 9 };
         let mut r = Rebalancer::new(RebalancePolicy::default(), cadence);
-        assert!(r.observe(0, &[plan(DIR)]).is_empty());
+        assert!(r.observe_actions(0, &[plan(DIR)]).is_empty());
         // Balanced probe in between: the streak dies.
-        assert!(r.observe(100, &[]).is_empty());
-        assert!(r.observe(200, &[plan(DIR)]).is_empty(), "back to one");
+        assert!(r.observe_actions(100, &[]).is_empty());
+        assert!(
+            r.observe_actions(200, &[plan(DIR)]).is_empty(),
+            "back to one"
+        );
         // A different hottest directory also restarts it...
-        assert!(r.observe(300, &[plan(other)]).is_empty());
+        assert!(r.observe_actions(300, &[plan(other)]).is_empty());
         // ...and then confirms on its own second probe.
-        assert_eq!(r.observe(400, &[plan(other)]), vec![plan(other)]);
+        assert_eq!(r.observe_actions(400, &[plan(other)]), vec![plan(other)]);
     }
 
     #[test]
@@ -922,7 +892,7 @@ mod tests {
             cooldown: 1000,
         };
         let mut r = Rebalancer::new(RebalancePolicy::default(), cadence);
-        assert_eq!(r.observe(0, &[plan(DIR)]), vec![plan(DIR)]);
+        assert_eq!(r.observe_actions(0, &[plan(DIR)]), vec![plan(DIR)]);
     }
 
     #[test]
@@ -983,7 +953,7 @@ mod tests {
             },
             report(1, 50, &[]),
         ];
-        let actions = plan_rebalance_actions(&reports, &p, &RoutingTable::new());
+        let actions = plan_rebalance_actions(&reports, &p, &RoutingTable::new(), true);
         assert_eq!(
             actions,
             vec![
@@ -1003,15 +973,18 @@ mod tests {
         // the candidate drops out instead of piling copies there.
         let mut known = RoutingTable::new();
         known.learn_replicas(DIR, vec![1], 1);
-        let actions = plan_rebalance_actions(&reports, &p, &known);
+        let actions = plan_rebalance_actions(&reports, &p, &known, true);
         assert_eq!(actions.len(), 1);
         assert_eq!(actions[0].dir(), churn);
         // At the replica cap the same degradation applies.
         let mut capped = RoutingTable::new();
         capped.learn_replicas(DIR, vec![2, 3, 4], 1);
-        let actions = plan_rebalance_actions(&reports, &p, &capped);
+        let actions = plan_rebalance_actions(&reports, &p, &capped, true);
         assert_eq!(actions.len(), 1, "capped dir is skipped");
         assert_eq!(actions[0].dir(), churn);
+        // With replication off every nominee migrates, read-mostly or not.
+        let actions = plan_rebalance_actions(&reports, &p, &capped, false);
+        assert_eq!(actions, vec![plan(DIR), plan(churn)]);
     }
 
     #[test]
@@ -1030,26 +1003,25 @@ mod tests {
         assert!(r.observe_actions(0, &[act]).is_empty(), "streak of one");
         // A migrate nomination of the same directory continues the streak:
         // agreement is about where the heat is, not the remedy.
-        let mig = RebalanceAction::Migrate(plan(DIR));
+        let mig = plan(DIR);
         assert_eq!(r.observe_actions(100, &[mig]), vec![mig]);
     }
 
     #[test]
     fn rebalance_stays_inert_below_the_bars() {
         let p = RebalancePolicy::default();
+        let nominations = |reports: &[LoadReport], p: &RebalancePolicy| {
+            plan_rebalance_actions(reports, p, &RoutingTable::new(), true)
+        };
         // Too few ops overall.
-        assert!(plan_rebalance(&[report(0, 10, &[(DIR, 9)]), report(1, 1, &[])], &p).is_empty());
+        assert!(nominations(&[report(0, 10, &[(DIR, 9)]), report(1, 1, &[])], &p).is_empty());
         // Balanced servers.
-        assert!(
-            plan_rebalance(&[report(0, 1000, &[(DIR, 900)]), report(1, 900, &[])], &p).is_empty()
-        );
+        assert!(nominations(&[report(0, 1000, &[(DIR, 900)]), report(1, 900, &[])], &p).is_empty());
         // Hot server, but no single directory dominates.
-        assert!(
-            plan_rebalance(&[report(0, 1000, &[(DIR, 50)]), report(1, 10, &[])], &p).is_empty()
-        );
+        assert!(nominations(&[report(0, 1000, &[(DIR, 50)]), report(1, 10, &[])], &p).is_empty());
         // One server: nowhere to move.
-        assert!(plan_rebalance(&[report(0, 1000, &[(DIR, 900)])], &p).is_empty());
+        assert!(nominations(&[report(0, 1000, &[(DIR, 900)])], &p).is_empty());
         // No reports at all.
-        assert!(plan_rebalance(&[], &p).is_empty());
+        assert!(nominations(&[], &p).is_empty());
     }
 }

@@ -1,4 +1,10 @@
 //! Client-side RPC plumbing with virtual-time accounting.
+//!
+//! Every exchange a client makes with a server is one [`send`] of a request
+//! plus one [`wait`] for its reply. A blocking call is the two back to
+//! back; a directory broadcast (§3.6.2) issues several sends before the
+//! first wait; a coalesced batch (§3.6.3) is just a [`Request::Batch`]
+//! carrying a request list.
 
 use crate::machine::{Entity, Machine};
 use crate::otrace::Cause;
@@ -25,43 +31,6 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-/// An RPC whose request has been sent but whose reply has not been
-/// collected yet; lets callers overlap several outstanding exchanges
-/// (directory broadcast, batched fan-out).
-pub struct PendingCall {
-    rrx: msg::Receiver<WireReply>,
-}
-
-/// A reusable reply channel for strictly serial blocking RPCs: the sender
-/// half rides each request (an `Arc` bump) and the receiver half is drained
-/// immediately, so steady-state calls allocate no channel. Must only be
-/// used where at most one request is outstanding at a time — overlapped
-/// exchanges keep their own per-call channels, since replies on a shared
-/// queue arrive in completion order.
-pub struct ReplySlot {
-    tx: msg::Sender<WireReply>,
-    rx: msg::Receiver<WireReply>,
-}
-
-impl ReplySlot {
-    /// Creates the slot's channel once, up front.
-    pub fn new(stats: Arc<msg::MsgStats>) -> Self {
-        let (tx, rx) = msg::channel::<WireReply>(stats);
-        ReplySlot { tx, rx }
-    }
-}
-
-/// A reply channel for a **one-way** server→server send (the replica
-/// invalidation fabric): the caller drops the returned receiver
-/// immediately, so the peer's inline reply evaporates instead of being
-/// awaited — the send is fire-and-forget like a dircache callback, and
-/// the no-server-blocks-on-a-server invariant (§3.3) is preserved.
-pub fn oneway_reply_slot(
-    machine: &Arc<Machine>,
-) -> (msg::Sender<WireReply>, msg::Receiver<WireReply>) {
-    msg::channel::<WireReply>(Arc::clone(&machine.msg_stats))
-}
-
 /// The default [`Cause`] a request send carries when no decision point
 /// tagged it ([`crate::otrace::Tracer::tag_next`]) more specifically:
 /// name-resolution traffic, coalesced batches, and the post-resolution
@@ -79,174 +48,47 @@ fn cause_of(req: &Request) -> Cause {
     }
 }
 
-/// [`call`] through a reusable [`ReplySlot`]: identical semantics and
-/// virtual-time accounting, minus the per-call channel allocation.
-pub fn call_reusing(
+/// Sends `req` to `server`, to be answered on `reply`, without waiting:
+/// the caller executes the send cost (busy on its core) and the request
+/// arrives at the server after the topology latency. A [`Request::Batch`]
+/// counts its entries as batched ops.
+pub fn send(
     machine: &Arc<Machine>,
     entity: &Entity,
     server: &ServerHandle,
     req: Request,
-    slot: &ReplySlot,
-) -> WireReply {
+    reply: msg::Sender<WireReply>,
+) -> Result<(), Errno> {
+    if let Request::Batch { reqs, .. } = &req {
+        machine.msg_stats.record_batched_ops(reqs.len() as u64);
+    }
     let span = machine.otrace.send_ctx(cause_of(&req));
     let t_sent = entity.work(machine, machine.cost.msg_send);
     let arrival = t_sent + machine.latency(entity.core, server.core);
+    let msg = ServerMsg { req, reply, span };
     server
         .tx
-        .send(
-            ServerMsg {
-                req,
-                reply: slot.tx.clone(),
-                span,
-            },
-            arrival,
-            entity.core,
-        )
-        .map_err(|_| Errno::EIO)?;
-    let env = slot.rx.recv().map_err(|_| Errno::EIO)?;
-    finish_recv(machine, entity, env.deliver_at);
-    env.payload
+        .send(msg, arrival, entity.core)
+        .map_err(|_| Errno::EIO)
 }
 
-/// Sends one request without waiting for the reply: the caller executes the
-/// send cost (busy on its core) and the request arrives at the server after
-/// the topology latency.
-pub fn send_call(
+/// Collects the next reply on `reply`: the caller's timeline advances to
+/// the reply's delivery time — *waiting, not busy* — then pays receive
+/// cost plus a context switch if its core is time-shared (it had been
+/// switched out while polling). A dropped request reads as `EIO`.
+pub fn wait(
     machine: &Arc<Machine>,
     entity: &Entity,
-    server: &ServerHandle,
-    req: Request,
-) -> Result<PendingCall, Errno> {
-    let span = machine.otrace.send_ctx(cause_of(&req));
-    let (rtx, rrx) = msg::channel::<WireReply>(Arc::clone(&machine.msg_stats));
-    let t_sent = entity.work(machine, machine.cost.msg_send);
-    let arrival = t_sent + machine.latency(entity.core, server.core);
-    server
-        .tx
-        .send(
-            ServerMsg {
-                req,
-                reply: rtx,
-                span,
-            },
-            arrival,
-            entity.core,
-        )
-        .map_err(|_| Errno::EIO)?;
-    Ok(PendingCall { rrx })
-}
-
-/// Collects the reply of a previously sent request: the caller's timeline
-/// advances to the reply's delivery time — *waiting, not busy* — then pays
-/// receive cost plus a context switch if its core is time-shared (it had
-/// been switched out while polling).
-pub fn wait_call(machine: &Arc<Machine>, entity: &Entity, pending: PendingCall) -> WireReply {
-    let env = pending.rrx.recv().map_err(|_| Errno::EIO)?;
-    finish_recv(machine, entity, env.deliver_at);
-    env.payload
-}
-
-/// Issues one blocking RPC from `entity` to `server`: [`send_call`]
-/// followed immediately by [`wait_call`]. The server's timeline serializes
-/// the request with the server's other requests and its core pays the
-/// service cycles (see the server loop).
-pub fn call(
-    machine: &Arc<Machine>,
-    entity: &Entity,
-    server: &ServerHandle,
-    req: Request,
+    reply: &msg::Receiver<WireReply>,
 ) -> WireReply {
-    let pending = send_call(machine, entity, server, req)?;
-    wait_call(machine, entity, pending)
-}
-
-/// Ships `reqs` to one server as a single [`Request::Batch`] exchange and
-/// unpacks the per-entry replies, preserving entry order. A transport-level
-/// failure (or a protocol mismatch) fails every entry.
-pub fn call_batch(
-    machine: &Arc<Machine>,
-    entity: &Entity,
-    server: &ServerHandle,
-    reqs: Vec<Request>,
-    fail_fast: bool,
-) -> Vec<WireReply> {
-    let pending = send_batch(machine, entity, server, reqs, fail_fast);
-    wait_batch(machine, entity, pending)
-}
-
-/// The send half of [`call_batch`], for overlapping batches to several
-/// servers. Returns the pending exchange plus the entry count.
-pub fn send_batch(
-    machine: &Arc<Machine>,
-    entity: &Entity,
-    server: &ServerHandle,
-    reqs: Vec<Request>,
-    fail_fast: bool,
-) -> (Result<PendingCall, Errno>, usize) {
-    let n = reqs.len();
-    machine.msg_stats.record_batched_ops(n as u64);
-    let pending = send_call(machine, entity, server, Request::Batch { reqs, fail_fast });
-    (pending, n)
-}
-
-/// The collect half of [`call_batch`].
-pub fn wait_batch(
-    machine: &Arc<Machine>,
-    entity: &Entity,
-    (pending, n): (Result<PendingCall, Errno>, usize),
-) -> Vec<WireReply> {
-    let outcome = match pending {
-        Ok(p) => wait_call(machine, entity, p),
-        Err(e) => Err(e),
-    };
-    match outcome {
-        Ok(crate::proto::Reply::Batch(replies)) if replies.len() == n => replies,
-        Ok(other) => {
-            debug_assert!(false, "batch protocol mismatch: {other:?}");
-            vec![Err(Errno::EIO); n]
-        }
-        Err(e) => vec![Err(e); n],
-    }
-}
-
-/// Issues the same request (produced per-server by `mk`) to many servers.
-///
-/// In parallel mode (Hare's *directory broadcast*, §3.6.2) the client sends
-/// all requests back-to-back and then collects the replies, overlapping the
-/// RPC latency and the servers' handler execution. In sequential mode (the
-/// Figure 11 ablation) each server is contacted with a full round trip
-/// before the next.
-pub fn multicall(
-    machine: &Arc<Machine>,
-    entity: &Entity,
-    servers: &[ServerHandle],
-    parallel: bool,
-    mut mk: impl FnMut(ServerId) -> Request,
-) -> Vec<WireReply> {
-    if !parallel {
-        return servers
-            .iter()
-            .map(|s| call(machine, entity, s, mk(s.id)))
-            .collect();
-    }
-    let pending: Vec<_> = servers
-        .iter()
-        .map(|s| send_call(machine, entity, s, mk(s.id)))
-        .collect();
-    pending
-        .into_iter()
-        .map(|p| wait_call(machine, entity, p?))
-        .collect()
-}
-
-/// Accounts for receiving a reply on the caller's entity.
-fn finish_recv(machine: &Arc<Machine>, entity: &Entity, deliver_at: u64) {
-    entity.wait_until(machine, deliver_at);
+    let env = reply.recv().map_err(|_| Errno::EIO)?;
+    entity.wait_until(machine, env.deliver_at);
     let mut cost = machine.cost.msg_recv;
     if machine.timeshared(entity.core) {
         cost += machine.cost.ctx_switch;
     }
     entity.work(machine, cost);
+    env.payload
 }
 
 #[cfg(test)]
@@ -283,6 +125,18 @@ mod tests {
             }
         });
         (ServerHandle { id: 0, core, tx }, h)
+    }
+
+    /// One blocking exchange: a send followed by its wait.
+    fn call(
+        machine: &Arc<Machine>,
+        entity: &Entity,
+        srv: &ServerHandle,
+        req: Request,
+    ) -> WireReply {
+        let (tx, rx) = msg::channel(Arc::clone(&machine.msg_stats));
+        send(machine, entity, srv, req, tx)?;
+        wait(machine, entity, &rx)
     }
 
     fn shutdown(machine: &Arc<Machine>, srv: &ServerHandle, h: std::thread::JoinHandle<()>) {
@@ -397,7 +251,18 @@ mod tests {
             joins.push(j);
         }
 
-        let replies = multicall(&machine, &client, &handles, true, |_| Request::PipeCreate);
+        let pending: Vec<_> = handles
+            .iter()
+            .map(|s| {
+                let (tx, rx) = msg::channel(Arc::clone(&machine.msg_stats));
+                send(&machine, &client, s, Request::PipeCreate, tx).unwrap();
+                rx
+            })
+            .collect();
+        let replies: Vec<_> = pending
+            .iter()
+            .map(|rx| wait(&machine, &client, rx))
+            .collect();
         assert_eq!(replies.len(), 3);
         assert!(replies.iter().all(|r| r.is_ok()));
         // Parallel fan-out: the three services overlap, so the client's

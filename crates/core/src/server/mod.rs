@@ -417,9 +417,10 @@ impl Server {
             // One-way replica callback: like a chain forward it is a plain
             // send (atomic delivery, no ack awaited), but no reply channel
             // travels with it — the throwaway receiver is dropped and the
-            // peer's inline reply evaporates harmlessly.
+            // peer's inline reply evaporates harmlessly, so no server ever
+            // blocks on another (§3.3).
             let pspan = self.machine.otrace.send_ctx(Cause::Inval);
-            let (tx, _rx) = crate::rpc::oneway_reply_slot(&self.machine);
+            let (tx, _rx) = msg::channel(Arc::clone(&self.machine.msg_stats));
             let h = &self.peers[peer as usize];
             let _ = h.tx.send(
                 ServerMsg {

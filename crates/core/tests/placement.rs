@@ -6,9 +6,21 @@
 //! RPC is two sends (request + reply).
 
 use fsapi::{Errno, MkdirOpts, Mode, OpenFlags, ProcFs};
-use hare_core::placement::RebalancePolicy;
-use hare_core::{dentry_shard, HareConfig, HareInstance, InodeId, Techniques};
+use hare_core::placement::{RebalanceAction, RebalanceCadence, RebalancePolicy, Rebalancer};
+use hare_core::{dentry_shard, ClientLib, HareConfig, HareInstance, InodeId, Techniques};
 use std::sync::Arc;
+
+/// One immediate rebalancing pass: probe every server, act on the first
+/// sight of a hot directory, no cooldown carried to the next pass.
+fn rebalance_now(c: &ClientLib) -> Option<RebalanceAction> {
+    let cadence = RebalanceCadence {
+        probe_interval: 0,
+        confirm: 1,
+        cooldown: 0,
+    };
+    let mut reb = Rebalancer::new(RebalancePolicy::default(), cadence);
+    c.rebalance_tick(&mut reb).unwrap()
+}
 
 /// A name under `dir` whose dentry shard is `want`.
 fn pinned_name(dir: InodeId, dist: bool, prefix: &str, want: u16, nservers: usize) -> String {
@@ -362,10 +374,7 @@ fn rebalancing_off_is_byte_for_byte_the_static_system() {
     let home = c.stat("/hot").unwrap().server;
     assert!(!c.migrate_dir("/hot", (home + 1) % 4).unwrap());
     assert_eq!(c.dir_owner("/hot").unwrap(), home);
-    assert!(c
-        .rebalance_once(&RebalancePolicy::default())
-        .unwrap()
-        .is_none());
+    assert!(rebalance_now(&c).is_none());
     drop(c);
     inst.shutdown();
 }
@@ -388,18 +397,14 @@ fn rebalancer_migrates_the_hot_directory_to_the_coolest_server() {
     }
 
     let admin = inst.new_client(0).unwrap();
-    let plan = admin
-        .rebalance_once(&RebalancePolicy::default())
-        .unwrap()
-        .expect("the skew must trigger a migration");
+    let Some(RebalanceAction::Migrate(plan)) = rebalance_now(&admin) else {
+        panic!("the create/unlink churn must trigger a migration");
+    };
     assert_eq!(plan.from, home);
     assert_ne!(plan.to, home);
     assert_eq!(admin.dir_owner("/hot").unwrap(), plan.to);
     // A second pass right after sees reset counters and stays put.
-    assert!(admin
-        .rebalance_once(&RebalancePolicy::default())
-        .unwrap()
-        .is_none());
+    assert!(rebalance_now(&admin).is_none());
     // The namespace survived.
     assert_eq!(admin.readdir("/hot").unwrap().len(), 4);
     drop(admin);

@@ -402,3 +402,102 @@ fn fsync_size_flush_never_regresses_a_larger_view_of_the_same_file() {
     drop(c);
     inst.shutdown();
 }
+
+/// What one measured operation cost the client: message sends and batched
+/// ops machine-wide, and the client's virtual-time delta.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cost {
+    sends: u64,
+    batched: u64,
+    vtime: u64,
+}
+
+/// The first root entry name with prefix `prefix` whose dentry shard is
+/// `want` on a 4-server machine.
+fn root_name_on(prefix: &str, want: u16) -> String {
+    (0..)
+        .map(|i| format!("{prefix}{i}"))
+        .find(|n| hare_core::dentry_shard(hare_core::InodeId::ROOT, true, n, 4) == want)
+        .expect("some name hashes to every shard")
+}
+
+/// Costs of the three fan-out shapes on a 4-server timeshare machine:
+/// registering a new client with every server, a cold `readdir("/")` of
+/// the distributed root with entries on all four servers, and a rename
+/// whose old and new names live on different shards.
+fn transport_costs(techniques: Techniques) -> [Cost; 3] {
+    let mut cfg = HareConfig::timeshare(4);
+    cfg.techniques = techniques;
+    let inst = HareInstance::start(cfg);
+    let setup = inst.new_client(0).unwrap();
+    for s in 0..4 {
+        fsapi::write_file(&setup, &format!("/{}", root_name_on("f", s)), b"x").unwrap();
+    }
+    let (src, dst) = (root_name_on("src", 0), root_name_on("dst", 1));
+    fsapi::write_file(&setup, &format!("/{src}"), b"x").unwrap();
+    drop(setup);
+
+    let m = inst.machine();
+    let snap = |vtime: u64| (m.msg_stats.sends(), m.msg_stats.batched_ops(), vtime);
+    let cost = |(s, b, v): (u64, u64, u64), now: u64| Cost {
+        sends: m.msg_stats.sends() - s,
+        batched: m.msg_stats.batched_ops() - b,
+        vtime: now - v,
+    };
+    let before = snap(0);
+    let c = inst.new_client(0).unwrap();
+    let register = cost(before, c.vnow());
+    let before = snap(c.vnow());
+    assert_eq!(c.readdir("/").unwrap().len(), 5);
+    let readdir = cost(before, c.vnow());
+    let before = snap(c.vnow());
+    c.rename(&format!("/{src}"), &format!("/{dst}")).unwrap();
+    let rename = cost(before, c.vnow());
+    drop(c);
+    inst.shutdown();
+    [register, readdir, rename]
+}
+
+#[test]
+fn transport_pin_fan_outs_per_config() {
+    // Register overlaps one RPC per server when broadcast is on (a batch
+    // envelope cannot carry its channel). Readdir lists each server's
+    // shard: one batched exchange per server, overlapped under broadcast.
+    // The cross-shard rename's AddMap and RmMap go to different servers,
+    // so they are two ordered exchanges either way.
+    let neither = {
+        let mut t = Techniques::without("broadcast");
+        t.batching = false;
+        t
+    };
+    let c = |sends, batched, vtime| Cost {
+        sends,
+        batched,
+        vtime,
+    };
+    let table = [
+        (
+            "default",
+            Techniques::default(),
+            [c(8, 0, 35230), c(8, 4, 10400), c(6, 2, 14687)],
+        ),
+        (
+            "no broadcast",
+            Techniques::without("broadcast"),
+            [c(8, 0, 39880), c(8, 4, 15725), c(6, 2, 14687)],
+        ),
+        (
+            "no batching",
+            Techniques::without("batching"),
+            [c(8, 0, 35230), c(8, 0, 10400), c(6, 0, 14687)],
+        ),
+        (
+            "neither",
+            neither,
+            [c(8, 0, 39880), c(8, 0, 15725), c(6, 0, 14687)],
+        ),
+    ];
+    for (name, techniques, want) in table {
+        assert_eq!(transport_costs(techniques), want, "{name}");
+    }
+}

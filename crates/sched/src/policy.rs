@@ -50,34 +50,6 @@ impl PlacementState {
     pub fn inherit(&self) -> PlacementState {
         self.clone()
     }
-
-    /// Load-aware round-robin (the `load_aware_exec` config flag): picks
-    /// the application core whose `load` is lowest — fed by the per-server
-    /// operation counters, so a core whose co-located file server is
-    /// hammered stops receiving new processes. The scan starts at the
-    /// round-robin cursor, so ties (all-idle machines included) rotate
-    /// exactly like the paper's policy; random placement ignores load by
-    /// design.
-    pub fn pick_loaded(&mut self, app_cores: &[usize], load: impl Fn(usize) -> u64) -> usize {
-        assert!(!app_cores.is_empty());
-        if matches!(self.policy, Placement::Random) {
-            return self.pick(app_cores);
-        }
-        let n = app_cores.len();
-        let start = self.cursor as usize % n;
-        let mut best = app_cores[start];
-        let mut best_load = load(best);
-        for i in 1..n {
-            let c = app_cores[(start + i) % n];
-            let l = load(c);
-            if l < best_load {
-                best = c;
-                best_load = l;
-            }
-        }
-        self.cursor = self.cursor.wrapping_add(1);
-        best
-    }
 }
 
 #[cfg(test)]
@@ -99,24 +71,6 @@ mod tests {
         parent.pick(&cores); // 0
         let mut child = parent.inherit();
         assert_eq!(child.pick(&cores), 1, "child continues the parent cursor");
-    }
-
-    #[test]
-    fn load_aware_round_robin_prefers_the_coolest_core() {
-        let cores = [0, 1, 2, 3];
-        let load = |c: usize| [500u64, 20, 300, 40][c];
-        let mut p = PlacementState::new(Placement::RoundRobin, 0);
-        assert_eq!(p.pick_loaded(&cores, load), 1, "least-loaded server wins");
-        // Uniform load degrades to the round-robin rotation (the cursor
-        // advanced once above).
-        let mut q = PlacementState::new(Placement::RoundRobin, 0);
-        assert_eq!(q.pick_loaded(&cores, |_| 7), 0);
-        assert_eq!(q.pick_loaded(&cores, |_| 7), 1);
-        assert_eq!(q.pick_loaded(&cores, |_| 7), 2);
-        // Random placement ignores load by design.
-        let mut r1 = PlacementState::new(Placement::Random, 9);
-        let mut r2 = PlacementState::new(Placement::Random, 9);
-        assert_eq!(r1.pick_loaded(&cores, load), r2.pick(&cores));
     }
 
     #[test]

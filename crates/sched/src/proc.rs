@@ -70,20 +70,7 @@ impl HareProc {
         let exports = self.lib.export_fds()?;
         let (target_core, child_placement) = {
             let mut p = self.placement.lock();
-            // Load-aware placement (config flag): prefer the core whose
-            // co-located file server has served the fewest operations in
-            // the current placement window (recent load, not
-            // ops-since-boot — a formerly hot but now idle server must
-            // not repel placement forever), instead of blindly cycling.
-            let core = if self.system.instance().config().load_aware_exec {
-                machine.placement_tick();
-                p.pick_loaded(self.system.app_cores(), |c| {
-                    machine.recent_server_ops_on_core(c)
-                })
-            } else {
-                p.pick(self.system.app_cores())
-            };
-            (core, p.inherit())
+            (p.pick(self.system.app_cores()), p.inherit())
         };
 
         let (sig_tx, sig_rx) = signal_queue(Arc::clone(&machine.msg_stats));

@@ -12,7 +12,7 @@
 //! ```
 
 use fsapi::{MkdirOpts, Mode, OpenFlags, ProcFs};
-use hare::core::placement::RebalancePolicy;
+use hare::core::placement::{RebalanceAction, RebalanceCadence, RebalancePolicy, Rebalancer};
 use hare::{HareConfig, HareInstance};
 use std::sync::Arc;
 
@@ -79,13 +79,20 @@ fn main() {
     print_loads(&inst, &base, "skewed: one hot directory");
 
     // One load-aware pass: read every server's counters, migrate the hot
-    // directory's shard to the least-loaded server.
-    match admin.rebalance_once(&RebalancePolicy::default()).unwrap() {
-        Some(plan) => println!(
+    // directory's shard to the least-loaded server. The cadence acts on
+    // the first probe that sees the skew.
+    let cadence = RebalanceCadence {
+        probe_interval: 0,
+        confirm: 1,
+        cooldown: 0,
+    };
+    let mut reb = Rebalancer::new(RebalancePolicy::default(), cadence);
+    match admin.rebalance_tick(&mut reb).unwrap() {
+        Some(RebalanceAction::Migrate(plan)) => println!(
             "\nrebalanced: migrated /spool from server {} to server {}",
             plan.from, plan.to
         ),
-        None => println!("\nrebalancer found nothing to move"),
+        other => println!("\nrebalancer did not migrate: {other:?}"),
     }
     let owner = admin.dir_owner("/spool").unwrap();
     println!("spool now lives at server {owner}");
