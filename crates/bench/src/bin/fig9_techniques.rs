@@ -16,18 +16,18 @@
 //! | Directory cache | 0.87 | 1.44 | 1.42 | 2.42 |
 //! | Creation affinity | 0.96 | 1.02 | 1.00 | 1.16 |
 //!
-//! Eight further rows ablate this reproduction's own extensions (no paper
+//! Six further rows ablate this reproduction's own extensions (no paper
 //! counterpart): the negative dentry cache, the batched RPC transport,
 //! server-side chained path resolution, terminal-op fusion for chained
 //! resolution, the dynamic placement subsystem (whose win is skewed
 //! hot-directory workloads — `micro_skew` — not the fig suite; the row
 //! mainly proves the toggle costs nothing when no migration happens),
-//! the striped data plane's two toggles (whose win is large
-//! sequential streams — `micro_stream` — and which are inert at the
-//! default `stripe_width = 1`; the rows prove exactly that), and read
-//! replication of hot shards (whose win is read-heavy skew —
+//! and read replication of hot shards (whose win is read-heavy skew —
 //! `micro_replica` — and which is inert until the rebalancer plants a
-//! replica; the row proves the toggle is free on the fig suite).
+//! replica; the row proves the toggle is free on the fig suite). The
+//! striped data plane has no toggle row: its ablations are the numeric
+//! knobs `stripe_width = 1` (the default) and `readahead_window = 1`,
+//! measured by `micro_stream`.
 //!
 //! `--list` prints the registered toggle keys, one per line — the CI
 //! ablation smoke loops over this output, so adding a row here is all it
@@ -35,7 +35,7 @@
 
 use hare_workloads::Workload;
 
-const TECHNIQUES: [(&str, &str); 13] = [
+const TECHNIQUES: [(&str, &str); 11] = [
     ("distribution", "Directory distribution"),
     ("broadcast", "Directory broadcast"),
     ("direct_access", "Direct cache access"),
@@ -46,8 +46,6 @@ const TECHNIQUES: [(&str, &str); 13] = [
     ("chained_resolution", "Chained path resolution"),
     ("fused_terminal", "Fused chain terminal op"),
     ("rebalancing", "Dynamic placement / rebalancing"),
-    ("striping", "Striped data plane"),
-    ("readahead", "Stripe readahead pipeline"),
     ("replication", "Read replication of hot shards"),
 ];
 

@@ -8,7 +8,7 @@
 //! - `striped` — `stripe_width = 4`: the file's extent map spreads stripe
 //!   service over four servers; writes fan out per-stripe through the
 //!   batch transport and reads run the windowed readahead pipeline.
-//! - `no readahead` — same extent map, but the pipeline window is 1: each
+//! - `no readahead` — same extent map, but `readahead_window = 1`: each
 //!   stripe fetch completes before the next is sent, so the four servers
 //!   never overlap. Isolates window depth from stripe addressing.
 //! - `all-home` — the default `stripe_width = 1` paper layout: every block
@@ -28,7 +28,7 @@
 //! gated against the committed baseline first (CI perf smoke).
 
 use fsapi::{Mode, OpenFlags, ProcFs};
-use hare_core::{HareConfig, HareInstance, Techniques};
+use hare_core::{HareConfig, HareInstance};
 
 /// Read chunk: one stripe unit, so the readahead window (not the request
 /// size) decides how many fetches are in flight.
@@ -59,15 +59,16 @@ struct Row {
     read: Phase,
 }
 
-/// Streams one write pass and one read pass of `/stream/data`, measuring
-/// each as transport exchanges and virtual cycles per MiB (open, close,
-/// and block allocation included — they amortize over the file and keep
-/// the counts deterministic).
-fn measure(name: &'static str, techniques: Techniques, stripe_width: usize, cores: usize) -> Row {
+/// Streams one write pass and one read pass of `/stream/data` on a split
+/// machine with `stripe_width` and `readahead_window` set, measuring each
+/// as transport exchanges and virtual cycles per MiB (open, close, and
+/// block allocation included — they amortize over the file and keep the
+/// counts deterministic).
+fn measure(name: &'static str, stripe_width: usize, window: usize, cores: usize) -> Row {
     let mb = file_mb();
     let mut cfg = HareConfig::split(cores, cores / 2);
-    cfg.techniques = techniques;
     cfg.stripe_width = stripe_width;
+    cfg.readahead_window = window;
     let inst = HareInstance::start(cfg);
     let machine = inst.machine();
     let core = inst.config().app_cores[0];
@@ -121,10 +122,11 @@ fn measure(name: &'static str, techniques: Techniques, stripe_width: usize, core
 
 fn main() {
     let cores = hare_bench::max_cores().min(8);
+    let window = HareConfig::split(cores, cores / 2).readahead_window;
     let rows = [
-        measure("striped", Techniques::default(), 4, cores),
-        measure("no readahead", Techniques::without("readahead"), 4, cores),
-        measure("all-home", Techniques::default(), 1, cores),
+        measure("striped", 4, window, cores),
+        measure("no readahead", 4, 1, cores),
+        measure("all-home", 1, window, cores),
     ];
 
     println!(

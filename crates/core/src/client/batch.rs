@@ -58,7 +58,7 @@ impl ClientLib {
     ) -> Vec<WireReply> {
         if fail_fast {
             self.ship_ordered(reqs)
-        } else if self.params.techniques.batching {
+        } else if self.cfg.techniques.batching {
             self.ship(reqs)
         } else {
             self.exchange(reqs)
@@ -72,7 +72,7 @@ impl ClientLib {
     /// global order even when same-server requests interleave with other
     /// servers'.
     fn ship_ordered(&self, reqs: Vec<(ServerId, Request)>) -> Vec<WireReply> {
-        let batching = self.params.techniques.batching;
+        let batching = self.cfg.techniques.batching;
         let mut out = Vec::with_capacity(reqs.len());
         let mut it = reqs.into_iter().peekable();
         let mut abort = false;

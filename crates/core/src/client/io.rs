@@ -60,7 +60,7 @@ impl ClientLib {
         // write-behind) must never regress it.
         let size = if entry.wrote
             && !entry.is_pipe()
-            && self.params.techniques.direct_access
+            && self.cfg.techniques.direct_access
             && entry.size > entry.published_size
         {
             Some(entry.size)
@@ -91,9 +91,9 @@ impl ClientLib {
             .iter()
             .filter_map(|i| entry.blocks.get(*i).copied())
             .collect();
-        let n = self.machine.with_cache(self.params.core, |cache, dram| {
-            cache.writeback_all(dram, blocks)
-        });
+        let n = self
+            .machine
+            .with_cache(self.core, |cache, dram| cache.writeback_all(dram, blocks));
         self.charge(self.machine.cost.writeback_blk * n as u64);
     }
 
@@ -125,7 +125,7 @@ impl ClientLib {
                 Ok(data.len())
             }
             (_, FdMode::Local { offset }) => {
-                if self.params.techniques.direct_access {
+                if self.cfg.techniques.direct_access {
                     if entry.extent.is_some() {
                         // Striped data plane: the extent map's servers move
                         // the bytes in parallel, pipelined by the
@@ -236,7 +236,7 @@ impl ClientLib {
             .filter(|r| r.next_offset == offset)
             .unwrap_or_else(|| Readahead::starting_at(offset, su));
         drop(st);
-        let window = self.params.readahead_window;
+        let window = self.cfg.readahead_window;
         let nstripes = size.div_ceil(su);
         let first = offset / su;
         let last = (offset + n as u64 - 1) / su;
@@ -348,7 +348,7 @@ impl ClientLib {
         let n = (buf.len() as u64).min(entry.size - offset) as usize;
         let mut filled = 0usize;
         let mut cost = 0u64;
-        self.machine.with_cache(self.params.core, |cache, dram| {
+        self.machine.with_cache(self.core, |cache, dram| {
             while filled < n {
                 let pos = offset as usize + filled;
                 let (bi, bo) = (pos / BLOCK_SIZE, pos % BLOCK_SIZE);
@@ -404,7 +404,7 @@ impl ClientLib {
             }
             (_, FdMode::Local { offset }) => {
                 let start = if append { entry.size } else { offset };
-                if self.params.techniques.direct_access {
+                if self.cfg.techniques.direct_access {
                     if entry.extent.is_some() {
                         // Striped data plane: write through the stripe
                         // servers (shared DRAM stays authoritative, so
@@ -515,7 +515,7 @@ impl ClientLib {
         let mut written = 0usize;
         let mut cost = 0u64;
         let mut dirtied: Vec<usize> = Vec::new();
-        self.machine.with_cache(self.params.core, |cache, dram| {
+        self.machine.with_cache(self.core, |cache, dram| {
             while written < buf.len() {
                 let pos = start as usize + written;
                 let (bi, bo) = (pos / BLOCK_SIZE, pos % BLOCK_SIZE);
@@ -666,7 +666,7 @@ impl ClientLib {
                 let snapshot = entry.clone();
                 entry.dirty.clear();
                 self.flush_entry(&snapshot);
-                if !self.params.techniques.direct_access {
+                if !self.cfg.techniques.direct_access {
                     return Ok(());
                 }
                 // Write-behind size publication: size updates buffer
@@ -807,7 +807,7 @@ impl ClientLib {
                 }
             }
             entry.dirty.clear();
-            let dropped = self.machine.with_cache(self.params.core, |cache, _| {
+            let dropped = self.machine.with_cache(self.core, |cache, _| {
                 cache.invalidate_all(drop_list.iter().copied())
             });
             self.charge(self.machine.cost.invalidate_blk * dropped as u64);
@@ -855,10 +855,10 @@ impl ClientLib {
         self.syscall();
         // Pipes are placed on the designated nearby server (affinity) or
         // spread by client id when affinity is disabled.
-        let server = if self.params.techniques.affinity {
+        let server = if self.cfg.techniques.affinity {
             self.local_server
         } else {
-            (self.params.id % self.servers.len() as u64) as u16
+            (self.id % self.servers.len() as u64) as u16
         };
         let (ino, rfd, wfd) = expect_reply!(
             self.call(server, Request::PipeCreate),
@@ -923,7 +923,7 @@ impl ClientLib {
                     self.flush_entry(&entry);
                     // Drop private copies: subsequent shared I/O moves
                     // through DRAM directly.
-                    let dropped = self.machine.with_cache(self.params.core, |cache, _| {
+                    let dropped = self.machine.with_cache(self.core, |cache, _| {
                         cache.invalidate_all(entry.blocks.iter().copied())
                     });
                     self.charge(self.machine.cost.invalidate_blk * dropped as u64);
@@ -981,7 +981,7 @@ impl ClientLib {
     /// state with a fresh view of the file (treated like a re-open:
     /// invalidate the block copies this core may hold).
     fn apply_demote(&self, num: u32, d: DemoteInfo) {
-        let dropped = self.machine.with_cache(self.params.core, |cache, _| {
+        let dropped = self.machine.with_cache(self.core, |cache, _| {
             cache.invalidate_all(d.blocks.iter().copied())
         });
         self.charge(self.machine.cost.invalidate_blk * dropped as u64);
@@ -1025,7 +1025,7 @@ impl ClientLib {
         self.charge(self.machine.cost.dram_direct_blk * transfers);
         // This core's private cache may hold stale copies of these blocks
         // from before the descriptor was shared: drop them.
-        self.machine.with_cache(self.params.core, |cache, _| {
+        self.machine.with_cache(self.core, |cache, _| {
             cache.invalidate_all(blocks.iter().copied())
         });
     }
@@ -1052,7 +1052,7 @@ impl ClientLib {
         }
         // Aggregated, as in `copy_from_dram`.
         self.charge(self.machine.cost.dram_direct_blk * transfers);
-        self.machine.with_cache(self.params.core, |cache, _| {
+        self.machine.with_cache(self.core, |cache, _| {
             cache.invalidate_all(blocks.iter().copied())
         });
     }

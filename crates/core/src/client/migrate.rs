@@ -46,7 +46,7 @@ impl ClientLib {
     /// directory (distributed directories have no single shard to move)
     /// or the migration loses to a concurrent removal.
     pub fn migrate_dir(&self, path: &str, to: ServerId) -> FsResult<bool> {
-        if !self.params.techniques.rebalancing {
+        if !self.cfg.techniques.rebalancing {
             return Ok(false);
         }
         self.syscall();
@@ -80,13 +80,13 @@ impl ClientLib {
     /// technique off. With `replication` off (but `rebalancing` on) every
     /// candidate migrates, exactly the pre-replication dynamic system.
     pub fn rebalance_tick(&self, reb: &mut Rebalancer) -> FsResult<Option<RebalanceAction>> {
-        if !self.params.techniques.rebalancing || !reb.due(self.vnow()) {
+        if !self.cfg.techniques.rebalancing || !reb.due(self.vnow()) {
             return Ok(None);
         }
         let reports = self.server_loads(true)?;
         let nominated = {
             let routing = self.routing.lock();
-            let replicate = self.params.techniques.replication;
+            let replicate = self.cfg.techniques.replication;
             plan_rebalance_actions(&reports, reb.policy(), &routing, replicate)
         };
         for action in reb.observe_actions(self.vnow(), &nominated) {
@@ -178,7 +178,7 @@ impl ClientLib {
     /// already knows `to` holds a copy; errors mirror
     /// [`ClientLib::migrate_dir`].
     pub fn replicate_dir(&self, path: &str, to: ServerId) -> FsResult<bool> {
-        if !self.params.techniques.replication {
+        if !self.cfg.techniques.replication {
             return Ok(false);
         }
         self.syscall();
@@ -207,7 +207,7 @@ impl ClientLib {
     /// advertisement; other processes learn it only if the workload
     /// spreads it (see [`ClientLib::adopt_replicas`]).
     pub(crate) fn drive_replication(&self, dir: InodeId, to: ServerId) -> FsResult<bool> {
-        if !self.params.techniques.replication {
+        if !self.cfg.techniques.replication {
             return Ok(false);
         }
         if (to as usize) >= self.servers.len() {

@@ -15,7 +15,7 @@ mod migrate;
 mod ops;
 mod resolve;
 
-use crate::config::Techniques;
+use crate::config::HareConfig;
 use crate::machine::{Entity, Machine};
 use crate::placement::RoutingTable;
 use crate::proto::{Reply, Request, WireReply};
@@ -27,37 +27,6 @@ use fsapi::{Errno, FsResult};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Per-client configuration (derived from the instance's `HareConfig`).
-#[derive(Debug, Clone)]
-pub struct ClientParams {
-    /// Unique client id.
-    pub id: ClientId,
-    /// Core this process runs on.
-    pub core: usize,
-    /// Logical time at which this process begins (spawn completion time).
-    pub start_time: u64,
-    /// Technique toggles (shared with the servers).
-    pub techniques: Techniques,
-    /// Distribution default for `MkdirOpts { distributed: None }`.
-    pub default_distributed: bool,
-    /// Effective distribution flag of the root directory.
-    pub root_distributed: bool,
-    /// Directory-cache capacity in slots (positive + negative).
-    pub dircache_capacity: usize,
-    /// Stripe requests kept in flight per sequential reader (already
-    /// normalized by the instance: the `readahead` toggle off is window 1,
-    /// one stripe at a time).
-    pub readahead_window: usize,
-    /// Effective per-directory shard width (already normalized by the
-    /// instance to `1..=nservers`). Routing, the readdir/rmdir fan-outs,
-    /// and the redirect retry budgets are all sized by it: O(owned
-    /// shards), not O(servers on the machine).
-    pub dir_shard_width: usize,
-    /// Page bound this client requests per `ListShard` exchange (the
-    /// server clamps to its own configured bound regardless).
-    pub list_page_max: usize,
-}
 
 /// Internal mutable state, serialized behind one lock (a process is a
 /// single thread of control; the lock exists because `ProcFs` takes
@@ -76,7 +45,13 @@ pub(crate) struct ClientState {
 pub struct ClientLib {
     pub(crate) machine: Arc<Machine>,
     pub(crate) servers: Arc<Vec<ServerHandle>>,
-    pub(crate) params: ClientParams,
+    /// The instance's normalized configuration, shared with the servers:
+    /// technique toggles and knobs are read from it in place.
+    pub(crate) cfg: Arc<HareConfig>,
+    /// Unique client id.
+    pub(crate) id: ClientId,
+    /// Core this process runs on.
+    pub(crate) core: usize,
     /// This process's logical timeline.
     pub(crate) entity: Entity,
     /// This client's designated nearby server for creation affinity
@@ -109,29 +84,36 @@ pub struct ClientLib {
 }
 
 impl ClientLib {
-    /// Creates a client library for a process on `core`, registering it
-    /// with every server so invalidation callbacks can reach it.
+    /// Creates a client library for process `id` on `core`, whose logical
+    /// timeline begins at `start_time`, registering it with every server
+    /// so invalidation callbacks can reach it. `cfg` is the instance's
+    /// normalized configuration.
     pub fn new(
         machine: Arc<Machine>,
         servers: Arc<Vec<ServerHandle>>,
-        params: ClientParams,
+        cfg: Arc<HareConfig>,
+        id: ClientId,
+        core: usize,
+        start_time: u64,
     ) -> FsResult<ClientLib> {
         let (inval_tx, inval_rx) = msg::channel(Arc::clone(&machine.msg_stats));
-        machine.register_entity(params.core);
-        let local_server = designated_local_server(&machine, &servers, params.core, params.id);
-        let entity = Entity::new(params.core, params.start_time);
-        let dircache_capacity = params.dircache_capacity;
+        machine.register_entity(core);
+        let local_server = designated_local_server(&machine, &servers, core, id);
+        let entity = Entity::new(core, start_time);
+        let dircache = DirCache::new(inval_rx, cfg.dircache_capacity);
         let nservers = servers.len();
         let (reply_tx, reply_rx) = msg::channel(Arc::clone(&machine.msg_stats));
         let lib = ClientLib {
             machine,
             servers,
-            params,
+            cfg,
+            id,
+            core,
             entity,
             local_server,
             state: Mutex::new(ClientState {
                 fds: ClientFdTable::default(),
-                dircache: DirCache::new(inval_rx, dircache_capacity),
+                dircache,
                 readahead: std::collections::HashMap::new(),
             }),
             routing: Mutex::new(RoutingTable::new()),
@@ -144,13 +126,12 @@ impl ClientLib {
         // directory broadcast when the technique allows. (Register carries
         // the invalidation channel, which a batch envelope cannot ship, so
         // it overlaps rather than batches.)
-        let (client, core) = (lib.params.id, lib.params.core);
         let register = |s: &ServerHandle| {
             let inval = inval_tx.clone();
             (
                 s.id,
                 Request::Register {
-                    client,
+                    client: id,
                     core,
                     inval,
                 },
@@ -164,12 +145,12 @@ impl ClientLib {
 
     /// The core this process runs on.
     pub fn core(&self) -> usize {
-        self.params.core
+        self.core
     }
 
     /// This client's id.
     pub fn id(&self) -> ClientId {
-        self.params.id
+        self.id
     }
 
     /// Number of file servers.
@@ -212,7 +193,7 @@ impl ClientLib {
         let wait = |sent: Result<msg::Receiver<WireReply>, Errno>| {
             rpc::wait(&self.machine, &self.entity, &sent?)
         };
-        if self.params.techniques.broadcast {
+        if self.cfg.techniques.broadcast {
             let sent: Vec<_> = reqs.into_iter().map(send).collect();
             sent.into_iter().map(wait).collect()
         } else {
@@ -262,7 +243,7 @@ impl ClientLib {
             dir,
             dist,
             name,
-            self.params.dir_shard_width,
+            self.cfg.dir_shard_width,
             self.servers.len(),
         )
     }
@@ -276,11 +257,7 @@ impl ClientLib {
     /// four sends on a 256-server machine, not 256.
     pub(crate) fn dir_shard_set(&self, dir: InodeId, dist: bool) -> Vec<ServerId> {
         if dist {
-            crate::placement::dir_shard_servers(
-                dir,
-                self.params.dir_shard_width,
-                self.servers.len(),
-            )
+            crate::placement::dir_shard_servers(dir, self.cfg.dir_shard_width, self.servers.len())
         } else {
             vec![self.dir_home_of(dir)]
         }
@@ -305,7 +282,7 @@ impl ClientLib {
     /// the rebalancer.
     pub(crate) fn owner_count(&self, dist: bool) -> usize {
         if dist {
-            self.params.dir_shard_width
+            self.cfg.dir_shard_width
         } else {
             self.servers.len()
         }
@@ -364,11 +341,11 @@ impl ClientLib {
     /// of stampeding one replica.
     pub(crate) fn read_server_of(&self, dir: InodeId) -> ServerId {
         let set = self.routing.lock().read_set(dir);
-        if set.len() == 1 || !self.params.techniques.replication {
+        if set.len() == 1 || !self.cfg.techniques.replication {
             return set[0];
         }
         let mut loads = self.read_load.lock();
-        let start = self.params.id as usize % set.len();
+        let start = self.id as usize % set.len();
         let mut best = set[start];
         for k in 1..set.len() {
             let s = set[(start + k) % set.len()];
@@ -471,12 +448,12 @@ impl ClientLib {
     /// designated local server. With affinity disabled, always the dentry
     /// server (maximal coalescing).
     pub(crate) fn inode_server_for_create(&self, dentry_server: ServerId) -> ServerId {
-        if !self.params.techniques.affinity {
+        if !self.cfg.techniques.affinity {
             return dentry_server;
         }
         let dcore = self.servers[dentry_server as usize].core;
-        let same_socket = self.machine.topology.socket_of(dcore)
-            == self.machine.topology.socket_of(self.params.core);
+        let same_socket =
+            self.machine.topology.socket_of(dcore) == self.machine.topology.socket_of(self.core);
         if same_socket {
             dentry_server
         } else {
@@ -486,7 +463,7 @@ impl ClientLib {
 
     /// Resolved distribution flag for a new directory.
     pub(crate) fn effective_dist(&self, requested: Option<bool>) -> bool {
-        requested.unwrap_or(self.params.default_distributed) && self.params.techniques.distribution
+        requested.unwrap_or(self.cfg.default_distributed) && self.cfg.techniques.distribution
     }
 
     // ----- Teardown ---------------------------------------------------------
@@ -505,18 +482,11 @@ impl ClientLib {
         // server (overlapped), instead of N sequential round trips.
         let _ = self.call_grouped(
             (0..self.servers.len() as ServerId)
-                .map(|s| {
-                    (
-                        s,
-                        Request::Unregister {
-                            client: self.params.id,
-                        },
-                    )
-                })
+                .map(|s| (s, Request::Unregister { client: self.id }))
                 .collect(),
             false,
         );
-        self.machine.unregister_entity(self.params.core);
+        self.machine.unregister_entity(self.core);
     }
 }
 
@@ -582,9 +552,7 @@ impl ClientLib {
         if !self.machine.otrace.enabled() {
             return f();
         }
-        self.machine
-            .otrace
-            .begin_op(label, self.params.core, self.vnow());
+        self.machine.otrace.begin_op(label, self.core, self.vnow());
         let out = f();
         self.machine.otrace.end_op(self.vnow());
         out

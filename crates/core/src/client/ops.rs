@@ -102,7 +102,12 @@ impl ClientLib {
     ) -> FsResult<u32> {
         match existing {
             Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => {
-                match self.create_file(st, dir, name, flags, mode) {
+                let created =
+                    self.create_entry(st, dir, name, FileType::Regular, mode, false, Some(flags));
+                let installed = created.and_then(|(ino, open)| {
+                    self.install_fd(st, ino, open.ok_or(Errno::EIO)?, flags)
+                });
+                match installed {
                     Err(Errno::EEXIST) if !excl => {
                         // Lost a create race: open the winner's file.
                         let d = self.lookup_child(st, dir, name)?;
@@ -114,7 +119,7 @@ impl ClientLib {
                         // Cache the winner's entry so every further retry
                         // is answered locally until the holder's unlink
                         // invalidates it.
-                        if self.params.techniques.dircache {
+                        if self.cfg.techniques.dircache {
                             let _ = self.lookup_child(st, dir, name);
                         }
                         Err(Errno::EEXIST)
@@ -139,7 +144,7 @@ impl ClientLib {
             self.call(
                 dentry.target.server,
                 Request::OpenInode {
-                    client: self.params.id,
+                    client: self.id,
                     num: dentry.target.num,
                     flags,
                 },
@@ -149,126 +154,97 @@ impl ClientLib {
         self.install_fd(st, dentry.target, open, flags)
     }
 
-    /// Creates and opens a new file. One coalesced message when the dentry
-    /// shard and the inode server coincide (paper §3.6.3); otherwise a
-    /// create+open at the inode server followed by ADD_MAP at the shard.
-    fn create_file(
+    /// Creates `name` in `dir` as a new inode of `ftype` (a directory with
+    /// distribution flag `dist`), opened with `open` when given. One
+    /// coalesced `Create` carrying the entry when the dentry shard and the
+    /// inode server coincide (paper §3.6.3); otherwise the inode is made
+    /// near the creator (creation affinity, §3.6.4) and the entry follows
+    /// as an ADD_MAP at the shard, undone if that fails.
+    #[allow(clippy::too_many_arguments)]
+    fn create_entry(
         &self,
         st: &mut ClientState,
         dir: DirRef,
         name: &str,
-        flags: OpenFlags,
+        ftype: FileType,
         mode: Mode,
-    ) -> FsResult<u32> {
+        dist: bool,
+        open: Option<OpenFlags>,
+    ) -> FsResult<(InodeId, Option<OpenResult>)> {
         fsapi::path::validate_name(name)?;
-        // The placement decision (coalesce at the dentry shard vs. place
-        // the inode near the creator) depends on the routed shard, so a
-        // NotOwner redirect restarts the decision under the updated table
-        // — new files under a migrated directory coalesce at its new
-        // owner. Every accepted redirect raises the directory's epoch, so
-        // the retry loop terminates within the parent's owner count.
+        // The placement decision depends on the routed shard, so a
+        // NotOwner redirect (only the coalesced form routes by the
+        // directory) restarts the decision under the updated table — new
+        // entries under a migrated directory coalesce at its new owner.
+        // Every accepted redirect raises the directory's epoch, so the
+        // retry loop terminates within the parent's owner count.
         for _ in 0..self.retry_budget(self.owner_count(dir.dist)) {
             let dentry_server = self.shard_of(dir.ino, dir.dist, name);
             let inode_server = self.inode_server_for_create(dentry_server);
-
-            if inode_server == dentry_server {
-                let got = match self.call(
-                    inode_server,
-                    Request::Create {
-                        client: self.params.id,
-                        ftype: FileType::Regular,
-                        mode,
-                        dist: false,
-                        add_map: Some((dir.ino, name.to_string())),
-                        open: Some(flags),
-                    },
-                ) {
-                    Ok(Reply::NotOwner {
-                        dir: d,
-                        epoch,
-                        owner,
-                    }) => {
-                        if !self.learn_owner(d, owner, epoch) {
-                            return Err(Errno::EIO);
-                        }
-                        continue;
-                    }
-                    r => expect_reply!(r, Reply::Created { ino, open } => (ino, open)),
-                };
-                let (ino, open) = got?;
-                let open = open.ok_or(Errno::EIO)?;
-                if self.params.techniques.dircache {
-                    st.dircache.insert(
-                        dir.ino,
-                        name,
-                        CachedDentry {
-                            target: ino,
-                            ftype: FileType::Regular,
-                            dist: false,
-                        },
-                    );
-                }
-                return self.install_fd(st, ino, open, flags);
-            }
-
-            // Affinity placement: inode near the creator, entry at its
-            // shard (the ADD_MAP follows redirects via call_entry).
-            let (ino, open) = expect_reply!(
-                self.call(
-                    inode_server,
-                    Request::Create {
-                        client: self.params.id,
-                        ftype: FileType::Regular,
-                        mode,
-                        dist: false,
-                        add_map: None,
-                        open: Some(flags),
-                    },
-                ),
-                Reply::Created { ino, open } => (ino, open)
-            )?;
-            let open = open.ok_or(Errno::EIO)?;
-            let added = expect_reply!(
-                self.call_entry(dir.ino, dir.dist, name, |lib| Request::AddMap {
-                    client: lib.params.id,
-                    dir: dir.ino,
-                    name: name.to_string(),
-                    target: ino,
-                    ftype: FileType::Regular,
-                    dist: false,
-                    replace: false,
-                }),
-                Reply::AddMapped { replaced } => replaced
+            let coalesced = inode_server == dentry_server;
+            let created = self.call(
+                inode_server,
+                Request::Create {
+                    client: self.id,
+                    ftype,
+                    mode,
+                    dist,
+                    add_map: coalesced.then(|| (dir.ino, name.to_string())),
+                    open,
+                },
             );
-            return match added {
-                Ok(_) => {
-                    if self.params.techniques.dircache {
-                        st.dircache.insert(
-                            dir.ino,
-                            name,
-                            CachedDentry {
-                                target: ino,
-                                ftype: FileType::Regular,
-                                dist: false,
+            if let Ok(Reply::NotOwner {
+                dir: d,
+                epoch,
+                owner,
+            }) = created
+            {
+                if !self.learn_owner(d, owner, epoch) {
+                    return Err(Errno::EIO);
+                }
+                continue;
+            }
+            let (ino, opened) =
+                expect_reply!(created, Reply::Created { ino, open } => (ino, open))?;
+            if !coalesced {
+                // The ADD_MAP follows redirects via call_entry.
+                let added = expect_reply!(
+                    self.call_entry(dir.ino, dir.dist, name, |lib| Request::AddMap {
+                        client: lib.id,
+                        dir: dir.ino,
+                        name: name.to_string(),
+                        target: ino,
+                        ftype,
+                        dist,
+                        replace: false,
+                    }),
+                    Reply::AddMapped { replaced } => replaced
+                );
+                if let Err(e) = added {
+                    // Undo the orphaned inode (lost race or vanished
+                    // directory).
+                    if let Some(o) = &opened {
+                        let _ = self.call(
+                            ino.server,
+                            Request::CloseFd {
+                                fd: o.fd,
+                                size: None,
                             },
                         );
                     }
-                    self.install_fd(st, ino, open, flags)
-                }
-                Err(e) => {
-                    // Undo the orphaned inode (lost race or vanished
-                    // directory).
-                    let _ = self.call(
-                        ino.server,
-                        Request::CloseFd {
-                            fd: open.fd,
-                            size: None,
-                        },
-                    );
                     let _ = self.call(ino.server, Request::LinkDecref { num: ino.num });
-                    Err(e)
+                    return Err(e);
                 }
-            };
+            }
+            if self.cfg.techniques.dircache {
+                let target = CachedDentry {
+                    target: ino,
+                    ftype,
+                    dist,
+                };
+                st.dircache.insert(dir.ino, name, target);
+            }
+            return Ok((ino, opened));
         }
         Err(Errno::EIO)
     }
@@ -284,7 +260,7 @@ impl ClientLib {
         open: OpenResult,
         flags: OpenFlags,
     ) -> FsResult<u32> {
-        let dropped = self.machine.with_cache(self.params.core, |cache, _| {
+        let dropped = self.machine.with_cache(self.core, |cache, _| {
             cache.invalidate_all(open.blocks.iter().copied())
         });
         self.charge(self.machine.cost.invalidate_blk * open.blocks.len().max(dropped) as u64);
@@ -312,7 +288,7 @@ impl ClientLib {
         let (dir, name) = self.resolve_parent(&mut st, path)?;
         let (target, _ftype) = expect_reply!(
             self.call_entry(dir.ino, dir.dist, name, |lib| Request::RmMap {
-                client: lib.params.id,
+                client: lib.id,
                 dir: dir.ino,
                 name: name.to_string(),
                 must_be_file: true,
@@ -329,101 +305,9 @@ impl ClientLib {
         self.syscall();
         let mut st = self.state.lock();
         let (dir, name) = self.resolve_parent(&mut st, path)?;
-        fsapi::path::validate_name(name)?;
         let dist = self.effective_dist(opts.distributed);
-        // Like create_file: a NotOwner redirect on the coalesced form
-        // restarts the placement decision under the updated table.
-        for _ in 0..self.retry_budget(self.owner_count(dir.dist)) {
-            let dentry_server = self.shard_of(dir.ino, dir.dist, name);
-            let home_server = self.inode_server_for_create(dentry_server);
-
-            if home_server == dentry_server {
-                let got = match self.call(
-                    home_server,
-                    Request::Create {
-                        client: self.params.id,
-                        ftype: FileType::Directory,
-                        mode,
-                        dist,
-                        add_map: Some((dir.ino, name.to_string())),
-                        open: None,
-                    },
-                ) {
-                    Ok(Reply::NotOwner {
-                        dir: d,
-                        epoch,
-                        owner,
-                    }) => {
-                        if !self.learn_owner(d, owner, epoch) {
-                            return Err(Errno::EIO);
-                        }
-                        continue;
-                    }
-                    r => expect_reply!(r, Reply::Created { ino, .. } => ino),
-                };
-                let ino = got?;
-                if self.params.techniques.dircache {
-                    st.dircache.insert(
-                        dir.ino,
-                        name,
-                        CachedDentry {
-                            target: ino,
-                            ftype: FileType::Directory,
-                            dist,
-                        },
-                    );
-                }
-                return Ok(());
-            }
-
-            let ino = expect_reply!(
-                self.call(
-                    home_server,
-                    Request::Create {
-                        client: self.params.id,
-                        ftype: FileType::Directory,
-                        mode,
-                        dist,
-                        add_map: None,
-                        open: None,
-                    },
-                ),
-                Reply::Created { ino, .. } => ino
-            )?;
-            let added = expect_reply!(
-                self.call_entry(dir.ino, dir.dist, name, |lib| Request::AddMap {
-                    client: lib.params.id,
-                    dir: dir.ino,
-                    name: name.to_string(),
-                    target: ino,
-                    ftype: FileType::Directory,
-                    dist,
-                    replace: false,
-                }),
-                Reply::AddMapped { replaced } => replaced
-            );
-            return match added {
-                Ok(_) => {
-                    if self.params.techniques.dircache {
-                        st.dircache.insert(
-                            dir.ino,
-                            name,
-                            CachedDentry {
-                                target: ino,
-                                ftype: FileType::Directory,
-                                dist,
-                            },
-                        );
-                    }
-                    Ok(())
-                }
-                Err(e) => {
-                    let _ = self.call(ino.server, Request::LinkDecref { num: ino.num });
-                    Err(e)
-                }
-            };
-        }
-        Err(Errno::EIO)
+        self.create_entry(&mut st, dir, name, FileType::Directory, mode, dist, None)?;
+        Ok(())
     }
 
     // ----- rmdir -----------------------------------------------------------
@@ -439,8 +323,7 @@ impl ClientLib {
         if d.target == InodeId::ROOT {
             return Err(Errno::EBUSY);
         }
-        let dir = d.target;
-        let dist = d.dist && self.params.techniques.distribution;
+        let (dir, dist) = (d.target, d.dist);
 
         // The three-phase fan-out set. A distributed directory's entries
         // are confined to its shard set by routing, so marking the set is
@@ -483,7 +366,7 @@ impl ClientLib {
         // Remove the entry from the parent and drop the cached dentry.
         let _ = expect_reply!(
             self.call_entry(parent.ino, parent.dist, name, |lib| Request::RmMap {
-                client: lib.params.id,
+                client: lib.id,
                 dir: parent.ino,
                 name: name.to_string(),
                 must_be_file: false,
@@ -548,7 +431,7 @@ impl ClientLib {
         )??;
 
         st.dircache.remove(old_dir.ino, old_name);
-        if self.params.techniques.dircache {
+        if self.cfg.techniques.dircache {
             st.dircache.insert(new_dir.ino, new_name, d);
         }
         Ok(())
@@ -578,7 +461,7 @@ impl ClientLib {
         // the resolution reply, so the fan-out below skips it — and a
         // centralized directory listed by its own home server costs no
         // fan-out round at all.
-        let t = &self.params.techniques;
+        let t = &self.cfg.techniques;
         let mut pre: Option<PrefetchedPage> = None;
         let dir = if !comps.is_empty() && t.chained_resolution && t.fused_terminal {
             let out = self.run_op(
@@ -600,7 +483,7 @@ impl ClientLib {
             }
             DirRef {
                 ino: d.target,
-                dist: d.dist && t.distribution,
+                dist: d.dist,
             }
         } else {
             self.resolve_dir(&mut st, &comps)?
@@ -889,7 +772,7 @@ impl RenameCommitOp<'_> {
         (
             lib.shard_of(self.new_dir.ino, self.new_dir.dist, self.new_name),
             Request::AddMap {
-                client: lib.params.id,
+                client: lib.id,
                 dir: self.new_dir.ino,
                 name: self.new_name.to_string(),
                 target: self.moved.target,
@@ -904,7 +787,7 @@ impl RenameCommitOp<'_> {
         (
             lib.shard_of(self.old_dir.ino, self.old_dir.dist, self.old_name),
             Request::RmMap {
-                client: lib.params.id,
+                client: lib.id,
                 dir: self.old_dir.ino,
                 name: self.old_name.to_string(),
                 must_be_file: false,

@@ -56,7 +56,7 @@ impl ClientLib {
     pub(crate) fn root_ref(&self) -> DirRef {
         DirRef {
             ino: InodeId::ROOT,
-            dist: self.params.root_distributed && self.params.techniques.distribution,
+            dist: self.cfg.root_distributed,
         }
     }
 
@@ -69,7 +69,7 @@ impl ClientLib {
         dir: InodeId,
         name: &str,
     ) -> Option<Cached> {
-        if !self.params.techniques.dircache {
+        if !self.cfg.techniques.dircache {
             return None;
         }
         let (hit, drained) = st.dircache.lookup(dir, name);
@@ -78,9 +78,10 @@ impl ClientLib {
     }
 
     /// Records an ENOENT result as a negative dentry, when the technique
-    /// is enabled. The single gate for every ENOENT-caching path.
+    /// is enabled (the normalized config turns it off with the dircache).
+    /// The single gate for every ENOENT-caching path.
     pub(crate) fn cache_negative(&self, st: &mut ClientState, dir: InodeId, name: &str) {
-        if self.params.techniques.dircache && self.params.techniques.neg_dircache {
+        if self.cfg.techniques.neg_dircache {
             st.dircache.insert_negative(dir, name);
         }
     }
@@ -119,7 +120,7 @@ impl ClientLib {
         // answer would never be invalidated.
         let (wire, from_home) =
             self.call_entry_read(dir.ino, dir.dist, name, |lib| Request::Lookup {
-                client: lib.params.id,
+                client: lib.id,
                 dir: dir.ino,
                 name: name.to_string(),
                 terminal: TerminalOp::None,
@@ -130,7 +131,7 @@ impl ClientLib {
         );
         match got {
             Ok(v) => {
-                if from_home && self.params.techniques.dircache {
+                if from_home && self.cfg.techniques.dircache {
                     st.dircache.insert(dir.ino, name, v);
                 }
                 Ok(v)
@@ -187,7 +188,7 @@ impl ClientLib {
         }
         Ok(DirRef {
             ino: d.target,
-            dist: d.dist && self.params.techniques.distribution,
+            dist: d.dist,
         })
     }
 }
@@ -275,7 +276,7 @@ impl<'p> ResolveOp<'p> {
         d: CachedDentry,
         cacheable: bool,
     ) -> FsResult<()> {
-        if cacheable && lib.params.techniques.dircache {
+        if cacheable && lib.cfg.techniques.dircache {
             st.dircache.insert(self.cur.ino, self.comps[self.pos], d);
         }
         self.cur = lib.enter_dir(d)?;
@@ -292,7 +293,7 @@ impl<'p> ResolveOp<'p> {
         d: CachedDentry,
         cacheable: bool,
     ) {
-        if cacheable && lib.params.techniques.dircache {
+        if cacheable && lib.cfg.techniques.dircache {
             st.dircache.insert(self.cur.ino, self.comps[self.pos], d);
         }
         self.final_dentry = Some(d);
@@ -469,7 +470,7 @@ impl<'p> ResolveOp<'p> {
     /// stops one short and the final component goes as a single `Lookup`
     /// carrying the terminal op.
     fn chain_len(&self, lib: &ClientLib) -> usize {
-        let end = if self.terminal != TerminalOp::None && !lib.params.techniques.fused_terminal {
+        let end = if self.terminal != TerminalOp::None && !lib.cfg.techniques.fused_terminal {
             self.comps.len() - 1
         } else {
             self.comps.len()
@@ -482,7 +483,7 @@ impl<'p> ResolveOp<'p> {
     /// single component is exactly one round trip either way, and the
     /// single RPC parks correctly on deletion-marked directories.
     fn would_chain(&self, lib: &ClientLib) -> bool {
-        lib.params.techniques.chained_resolution && self.chain_len(lib) >= 2 && !self.single_once
+        lib.cfg.techniques.chained_resolution && self.chain_len(lib) >= 2 && !self.single_once
     }
 
     /// Emits a chain covering the next `upto` components. Only a chain
@@ -511,7 +512,7 @@ impl<'p> ResolveOp<'p> {
         (
             shard,
             Request::LookupPath {
-                client: lib.params.id,
+                client: lib.id,
                 dir: self.cur.ino,
                 dist: self.cur.dist,
                 comps: self.comps[self.pos..self.pos + upto]
@@ -555,7 +556,7 @@ impl<'p> ResolveOp<'p> {
         (
             shard,
             Request::Lookup {
-                client: lib.params.id,
+                client: lib.id,
                 dir: self.cur.ino,
                 name: name.to_string(),
                 terminal,

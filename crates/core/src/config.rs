@@ -2,7 +2,7 @@
 
 use vtime::{CostModel, Topology};
 
-/// The five techniques the paper ablates in §5.4 (Figure 9), plus eight
+/// The five techniques the paper ablates in §5.4 (Figure 9), plus six
 /// extensions this reproduction adds in the same spirit.
 ///
 /// Each toggle removes one optimization while keeping the system correct,
@@ -94,13 +94,6 @@ pub struct Techniques {
     /// migration driver are no-ops and the routing tables stay at epoch 0
     /// (the paper's fixed hash) forever.
     pub rebalancing: bool,
-    /// The striped data plane: when on *and* `HareConfig::stripe_width`
-    /// is ≥ 2, opens carry an extent map and clients address each
-    /// stripe's `ReadStripe`/`WriteStripe` to its service owner in
-    /// parallel. When off (or un-widened, the default), every block is
-    /// serviced by the file's home server — byte-for-byte the paper's
-    /// layout.
-    pub striping: bool,
     /// Read replication for hot shards: when off, clients route every
     /// read to the directory's home (replica selection short-circuits),
     /// the replication driver is a no-op, and — with no `ReplicaExport`
@@ -108,12 +101,6 @@ pub struct Techniques {
     /// behavior is byte-for-byte the unreplicated system. Writes are
     /// unaffected either way: they always serialize at the home.
     pub replication: bool,
-    /// Windowed stripe readahead: the client keeps up to
-    /// `HareConfig::readahead_window` stripe fetches in flight ahead of a
-    /// sequential reader. When off, striped reads fetch one stripe at a
-    /// time (still parallel across a multi-stripe read call). Inert
-    /// without `striping`.
-    pub readahead: bool,
 }
 
 impl Default for Techniques {
@@ -131,8 +118,6 @@ impl Default for Techniques {
             fused_terminal: true,
             rebalancing: true,
             replication: true,
-            striping: true,
-            readahead: true,
         }
     }
 }
@@ -158,8 +143,6 @@ impl Techniques {
             "fused_terminal" => t.fused_terminal = false,
             "rebalancing" => t.rebalancing = false,
             "replication" => t.replication = false,
-            "striping" => t.striping = false,
-            "readahead" => t.readahead = false,
             other => panic!("unknown technique {other:?}"),
         }
         t
@@ -215,16 +198,21 @@ pub struct HareConfig {
     /// clients first, so bounding this state never leaves a stale cache.
     pub server_track_capacity: usize,
     /// Stripe unit of the striped data plane in bytes (a multiple of the
-    /// block size). Only meaningful with `techniques.striping` and
-    /// `stripe_width ≥ 2`.
+    /// block size). Only meaningful with `stripe_width ≥ 2`.
     pub stripe_unit: u64,
-    /// How many servers a file's stripe I/O is spread over (clamped to
-    /// the machine's server count). The default 1 keeps the paper's
-    /// all-blocks-home layout — the striping toggle is then inert and
-    /// every exchange count is byte-for-byte the seed's.
+    /// The striped data plane: how many servers a file's stripe I/O is
+    /// spread over (clamped to the machine's server count). At width ≥ 2,
+    /// opens carry an extent map and clients address each stripe's
+    /// `ReadStripe`/`WriteStripe` to its service owner in parallel. The
+    /// default 1 keeps the paper's all-blocks-home layout: every block is
+    /// serviced by the file's home server and every exchange count is
+    /// byte-for-byte the seed's. Width 1 is the data plane's ablation.
     pub stripe_width: usize,
-    /// How many stripe fetches the readahead pipeline keeps in flight
-    /// ahead of a sequential reader (with `techniques.readahead`).
+    /// Windowed stripe readahead: how many stripe fetches the client
+    /// keeps in flight ahead of a sequential reader of a striped file.
+    /// Window 1 (the ablation; `0` is read as 1) fetches one stripe at a
+    /// time, still parallel across a multi-stripe read call. Inert at
+    /// `stripe_width = 1`.
     pub readahead_window: usize,
     /// How many servers a *distributed* directory's dentries are spread
     /// over (clamped to the machine's server count; `0` means every
@@ -306,17 +294,27 @@ impl HareConfig {
         self.server_cores.iter().any(|c| self.app_cores.contains(c))
     }
 
-    /// The effective shard width for distributed directories:
-    /// `dir_shard_width` normalized against the server count. `0` (the
-    /// default) and any width at or above the server count both mean
-    /// "every server" — the paper's spread, with routing byte-for-byte
-    /// the seed's `hash % NSERVERS`.
-    pub fn effective_dir_shard_width(&self) -> usize {
+    /// This configuration with every derived knob resolved, as the
+    /// servers and clients of a booted instance read it:
+    /// * the root is distributed only with the distribution technique
+    ///   (which is what makes every stored directory flag effective);
+    /// * negative caching is off without the directory cache it lives
+    ///   in (it would otherwise leak invalidations);
+    /// * `dir_shard_width` is the effective width in `1..=nservers`: `0`
+    ///   and any width above the server count both mean "every server",
+    ///   the paper's spread, with routing byte-for-byte the seed's
+    ///   `hash % NSERVERS`;
+    /// * `list_page_max` and `readahead_window` are at least 1.
+    pub fn normalized(mut self) -> Self {
+        let t = &mut self.techniques;
+        self.root_distributed &= t.distribution;
+        t.neg_dircache &= t.dircache;
         if self.dir_shard_width == 0 || self.dir_shard_width > self.nservers() {
-            self.nservers()
-        } else {
-            self.dir_shard_width
+            self.dir_shard_width = self.nservers();
         }
+        self.list_page_max = self.list_page_max.max(1);
+        self.readahead_window = self.readahead_window.max(1);
+        self
     }
 }
 
@@ -371,11 +369,29 @@ mod tests {
         assert!(!t.fused_terminal && t.chained_resolution && t.batching);
         let t = Techniques::without("rebalancing");
         assert!(!t.rebalancing && t.chained_resolution && t.fused_terminal);
-        let t = Techniques::without("striping");
-        assert!(!t.striping && t.readahead && t.direct_access && t.batching);
-        // readahead without striping is inert, not invalid.
-        let t = Techniques::without("readahead");
-        assert!(!t.readahead && t.striping && t.chained_resolution);
+        let t = Techniques::without("replication");
+        assert!(!t.replication && t.rebalancing && t.direct_access && t.batching);
+    }
+
+    #[test]
+    fn normalized_resolves_derived_knobs() {
+        let mut c = HareConfig::timeshare(4);
+        c.techniques = Techniques::without("distribution");
+        (c.dir_shard_width, c.list_page_max, c.readahead_window) = (9, 0, 0);
+        let n = c.normalized();
+        assert!(!n.root_distributed);
+        assert_eq!(
+            (n.dir_shard_width, n.list_page_max, n.readahead_window),
+            (4, 1, 1)
+        );
+        let mut c = HareConfig::timeshare(4);
+        c.techniques = Techniques::without("dircache");
+        c.techniques.neg_dircache = true;
+        c.dir_shard_width = 2;
+        let n = c.normalized();
+        assert!(n.root_distributed && !n.techniques.neg_dircache);
+        assert_eq!(n.dir_shard_width, 2);
+        assert_eq!(HareConfig::timeshare(8).normalized().dir_shard_width, 8);
     }
 
     #[test]

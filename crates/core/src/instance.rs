@@ -1,11 +1,11 @@
 //! A running Hare machine: file servers spawned, clients mintable.
 
-use crate::client::{ClientLib, ClientParams};
+use crate::client::ClientLib;
 use crate::config::HareConfig;
 use crate::machine::Machine;
 use crate::proto::{Request, ServerMsg};
 use crate::rpc::ServerHandle;
-use crate::server::{Server, ServerParams};
+use crate::server::Server;
 use crate::types::ServerId;
 use fsapi::FsResult;
 use parking_lot::Mutex;
@@ -16,21 +16,26 @@ use std::sync::Arc;
 /// core, sharing one simulated [`Machine`].
 pub struct HareInstance {
     machine: Arc<Machine>,
-    cfg: HareConfig,
+    cfg: Arc<HareConfig>,
     servers: Arc<Vec<ServerHandle>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     next_client: AtomicU64,
 }
 
 impl HareInstance {
-    /// Boots the instance: builds the machine, partitions the buffer cache
-    /// among servers, and starts one server thread per server core.
+    /// Boots the instance: normalizes the configuration once (see
+    /// [`HareConfig::normalized`]) for every server and client to read,
+    /// builds the machine, partitions the buffer cache among servers, and
+    /// starts one server thread per server core.
     pub fn start(cfg: HareConfig) -> Arc<HareInstance> {
+        let cfg = Arc::new(cfg.normalized());
         let machine = Machine::new(&cfg);
         let nservers = cfg.nservers();
         assert!(nservers > 0, "need at least one file server");
-        let per_server = cfg.dram_blocks / nservers;
-        assert!(per_server > 0, "buffer cache too small for server count");
+        assert!(
+            cfg.dram_blocks / nservers > 0,
+            "buffer cache too small for server count"
+        );
 
         // Every server holds handles to all of its peers (for forwarding
         // chained LookupPath remainders), so the channels are created
@@ -52,30 +57,9 @@ impl HareInstance {
         for (i, rx) in rxs.into_iter().enumerate() {
             let server = Server::new(
                 Arc::clone(&machine),
-                ServerParams {
-                    id: i as ServerId,
-                    core: cfg.server_cores[i],
-                    partition_start: i * per_server,
-                    partition_len: per_server,
-                    root_distributed: cfg.root_distributed && cfg.techniques.distribution,
-                    pipe_capacity: cfg.pipe_capacity,
-                    // Normalized: negative caching is meaningless (and
-                    // would leak invalidations) without the dircache.
-                    neg_dircache: cfg.techniques.neg_dircache && cfg.techniques.dircache,
-                    track_capacity: cfg.server_track_capacity,
-                    peers: Arc::clone(&handles),
-                    distribution: cfg.techniques.distribution,
-                    stripe_unit: cfg.stripe_unit,
-                    // Normalized like neg_dircache: the toggle off (or an
-                    // un-widened config) is width 1, the paper's layout.
-                    stripe_width: if cfg.techniques.striping {
-                        cfg.stripe_width
-                    } else {
-                        1
-                    },
-                    dir_shard_width: cfg.effective_dir_shard_width(),
-                    list_page_max: cfg.list_page_max,
-                },
+                Arc::clone(&cfg),
+                i as ServerId,
+                Arc::clone(&handles),
             );
             threads.push(
                 std::thread::Builder::new()
@@ -98,7 +82,7 @@ impl HareInstance {
         &self.machine
     }
 
-    /// The instance configuration.
+    /// The instance configuration, normalized.
     pub fn config(&self) -> &HareConfig {
         &self.cfg
     }
@@ -124,22 +108,10 @@ impl HareInstance {
         ClientLib::new(
             Arc::clone(&self.machine),
             Arc::clone(&self.servers),
-            ClientParams {
-                id,
-                core,
-                start_time: start,
-                techniques: self.cfg.techniques,
-                default_distributed: self.cfg.default_distributed,
-                root_distributed: self.cfg.root_distributed && self.cfg.techniques.distribution,
-                dircache_capacity: self.cfg.dircache_capacity,
-                readahead_window: if self.cfg.techniques.readahead {
-                    self.cfg.readahead_window.max(1)
-                } else {
-                    1
-                },
-                dir_shard_width: self.cfg.effective_dir_shard_width(),
-                list_page_max: self.cfg.list_page_max,
-            },
+            Arc::clone(&self.cfg),
+            id,
+            core,
+            start,
         )
     }
 

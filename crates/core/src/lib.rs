@@ -43,7 +43,7 @@ pub mod seqfifo;
 pub mod server;
 pub mod types;
 
-pub use client::{ClientLib, ClientParams};
+pub use client::ClientLib;
 pub use config::{HareConfig, Placement, Techniques};
 pub use instance::HareInstance;
 pub use machine::Machine;

@@ -18,6 +18,7 @@ pub mod inode;
 pub mod pipes;
 pub mod rmdir;
 
+use crate::config::HareConfig;
 use crate::machine::Machine;
 use crate::otrace::Cause;
 use crate::placement::RoutingTable;
@@ -66,53 +67,6 @@ struct Ctx {
     replays: Vec<rmdir::ParkedOp>,
 }
 
-/// Construction parameters for one server.
-pub struct ServerParams {
-    /// Server index.
-    pub id: ServerId,
-    /// Core the server runs on.
-    pub core: usize,
-    /// First DRAM block of this server's buffer-cache partition.
-    pub partition_start: usize,
-    /// Partition length in blocks.
-    pub partition_len: usize,
-    /// Root directory distribution flag (server 0 creates the root).
-    pub root_distributed: bool,
-    /// Pipe capacity in bytes.
-    pub pipe_capacity: usize,
-    /// Whether clients cache negative dentries (mirrors
-    /// `Techniques::neg_dircache`): gates miss tracking and fresh-insert
-    /// invalidations so the ablation truly restores baseline behavior.
-    pub neg_dircache: bool,
-    /// Capacity of the `(dir, name)` client-tracking table; evictions
-    /// beyond it invalidate the tracked clients first (see
-    /// [`dentry::DentryShard`]).
-    pub track_capacity: usize,
-    /// Handles to every server (self included), for forwarding chained
-    /// [`Request::LookupPath`] remainders to the next component's owner.
-    pub peers: Arc<Vec<crate::rpc::ServerHandle>>,
-    /// Whether the directory-distribution technique is on (mirrors
-    /// `Techniques::distribution`): the chained walk must route with the
-    /// same effective distribution flags the clients use.
-    pub distribution: bool,
-    /// Stripe unit in bytes for the striping policy (multiple of the block
-    /// size). Only consulted when `stripe_width >= 2`.
-    pub stripe_unit: u64,
-    /// Effective stripe width (already normalized by the instance: the
-    /// `striping` toggle off is width 1, the paper's all-blocks-home
-    /// layout).
-    pub stripe_width: usize,
-    /// Effective per-directory shard width (already normalized by the
-    /// instance to `1..=nservers`; `nservers` is the paper's every-server
-    /// spread). The chained walk must route with the same width the
-    /// clients use.
-    pub dir_shard_width: usize,
-    /// Upper bound on the entries one `ListShard` (or fused `List`
-    /// terminal) reply carries; larger shards page with a continuation
-    /// cursor.
-    pub list_page_max: usize,
-}
-
 /// One Hare file server.
 pub struct Server {
     id: ServerId,
@@ -125,19 +79,13 @@ pub struct Server {
     pipes: PipeTable,
     rmdir: RmdirState,
     clients: HashMap<ClientId, (msg::Sender<Invalidation>, usize)>,
-    pipe_capacity: usize,
-    neg_dircache: bool,
+    /// The instance's normalized configuration, shared with every server
+    /// and client: the knobs (negative caching, shard and stripe widths,
+    /// page bound, pipe capacity) are read from it in place.
+    cfg: Arc<HareConfig>,
+    /// Handles to every server (self included), for forwarding chained
+    /// [`Request::LookupPath`] remainders to the next component's owner.
     peers: Arc<Vec<crate::rpc::ServerHandle>>,
-    distribution: bool,
-    /// Striping knobs for the extent-map policy attached to opened files
-    /// (see [`crate::placement::extent_for`]). Width 1 means no extent
-    /// maps are ever handed out — the paper's layout.
-    stripe_unit: u64,
-    stripe_width: usize,
-    /// Per-directory shard width for routing (see [`ServerParams`]).
-    dir_shard_width: usize,
-    /// Page bound for shard listings (see [`ServerParams`]).
-    list_page_max: usize,
     /// This server's copy of the epoch-versioned routing table. Starts at
     /// epoch 0 (pure hash); updated by the migrations this server takes
     /// part in. Entry operations for a directory whose shard migrated away
@@ -174,37 +122,40 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server; server 0 bootstraps the root directory inode.
-    pub fn new(machine: Arc<Machine>, params: ServerParams) -> Self {
+    /// Creates server `id` of the instance configured by `cfg` (already
+    /// normalized), on core `cfg.server_cores[id]` and owning the `id`th
+    /// equal partition of the buffer cache; `peers` holds every server's
+    /// handle. Server 0 bootstraps the root directory inode.
+    pub fn new(
+        machine: Arc<Machine>,
+        cfg: Arc<HareConfig>,
+        id: ServerId,
+        peers: Arc<Vec<crate::rpc::ServerHandle>>,
+    ) -> Self {
         let mut inodes = InodeTable::new(2);
-        if params.id == InodeId::ROOT.server {
+        if id == InodeId::ROOT.server {
             inodes.insert_at(
                 InodeId::ROOT.num,
                 Mode(0o755),
                 InodeKind::Dir {
-                    dist: params.root_distributed,
+                    dist: cfg.root_distributed,
                 },
             );
         }
+        let partition = cfg.dram_blocks / cfg.nservers();
         Server {
-            id: params.id,
-            core: params.core,
+            id,
+            core: cfg.server_cores[id as usize],
             machine,
             inodes,
-            dentries: DentryShard::new(params.track_capacity),
+            dentries: DentryShard::new(cfg.server_track_capacity),
             fds: FdTable::default(),
-            alloc: BlockAllocator::new(params.partition_start, params.partition_len),
+            alloc: BlockAllocator::new(id as usize * partition, partition),
             pipes: PipeTable::default(),
             rmdir: RmdirState::default(),
             clients: HashMap::new(),
-            pipe_capacity: params.pipe_capacity,
-            neg_dircache: params.neg_dircache,
-            peers: params.peers,
-            distribution: params.distribution,
-            stripe_unit: params.stripe_unit,
-            stripe_width: params.stripe_width,
-            dir_shard_width: params.dir_shard_width,
-            list_page_max: params.list_page_max.max(1),
+            cfg,
+            peers,
             routing: RoutingTable::new(),
             migrating: HashMap::new(),
             replicas: ReplicaStore::default(),
@@ -809,7 +760,7 @@ impl Server {
             let ino = self.inodes.get(dir.num)?;
             match ino.kind {
                 InodeKind::Dir { dist } => {
-                    if dist && self.distribution {
+                    if dist {
                         return Err(Errno::EINVAL);
                     }
                 }
@@ -970,7 +921,7 @@ impl Server {
             let ino = self.inodes.get(dir.num)?;
             match ino.kind {
                 InodeKind::Dir { dist } => {
-                    if dist && self.distribution {
+                    if dist {
                         return Err(Errno::EINVAL);
                     }
                 }
@@ -1150,7 +1101,7 @@ impl Server {
                 // name is later created. Gated so the ablation sheds this
                 // state.
                 let hit = self.dentries.lookup(dir, name);
-                if hit.is_some() || self.neg_dircache {
+                if hit.is_some() || self.cfg.techniques.neg_dircache {
                     self.track_entry(dir, name, client, ctx);
                 }
                 (hit.ok_or(Errno::ENOENT)?, false)
@@ -1225,9 +1176,9 @@ impl Server {
             // away) re-forwards to the owner this server knows — still
             // feed-forward, still within the hop budget — instead of
             // bouncing the client.
-            let owner = self
-                .routing
-                .route(cur_dir, cur_dist, name, self.dir_shard_width, nservers);
+            let owner =
+                self.routing
+                    .route(cur_dir, cur_dist, name, self.cfg.dir_shard_width, nservers);
             if owner != self.id {
                 // A local read replica of this component's directory lets
                 // the walk continue here without a hop — still
@@ -1249,7 +1200,7 @@ impl Server {
                             break;
                         }
                         cur_dir = v.target;
-                        cur_dist = v.dist && self.distribution;
+                        cur_dist = v.dist;
                     }
                     idx += 1;
                     continue;
@@ -1303,7 +1254,7 @@ impl Server {
                             break;
                         }
                         cur_dir = v.target;
-                        cur_dist = v.dist && self.distribution;
+                        cur_dist = v.dist;
                     }
                     idx += 1;
                 }
@@ -1316,9 +1267,25 @@ impl Server {
                     // coalesced [`Request::Create`].
                     if idx + 1 == comps.len() && self.coalesced_create_here(client) {
                         if let TerminalOp::Create { flags, mode } = terminal {
-                            let (entry, ino, open) =
-                                self.terminal_create(client, cur_dir, name, flags, mode, ctx);
-                            acc.push(entry);
+                            let (ino, open) = self.create_here(
+                                client,
+                                FileType::Regular,
+                                mode,
+                                false,
+                                Some((cur_dir, name.as_str())),
+                                Some(flags),
+                                ctx,
+                            );
+                            // The standalone Create's base, which the chain
+                            // envelope never pre-paid.
+                            ctx.extra += 900;
+                            acc.push(PathEntry {
+                                target: ino,
+                                ftype: FileType::Regular,
+                                dist: false,
+                                replica: false,
+                            });
+                            let open = open.expect("a new regular file opens");
                             return Some(Ok(Reply::Path {
                                 entries: acc,
                                 stopped: None,
@@ -1327,7 +1294,7 @@ impl Server {
                         }
                     }
                     // Track the miss for negative-cache invalidation.
-                    if self.neg_dircache {
+                    if self.cfg.techniques.neg_dircache {
                         self.track_entry(cur_dir, name, client, ctx);
                     }
                     stopped = Some(Errno::ENOENT);
@@ -1416,7 +1383,7 @@ impl Server {
                 // directory's entries follow the override — so any other
                 // server's listing would be dead weight the client
                 // discards.
-                if !(last.dist && self.distribution) && self.routing.dir_home(dir) != self.id {
+                if !last.dist && self.routing.dir_home(dir) != self.id {
                     return None;
                 }
                 // A listing must not race the rmdir mark/commit window or
@@ -1431,7 +1398,7 @@ impl Server {
                 // Page-bounded like a standalone ListShard: a giant shard
                 // rides the chain as its first page and the client pages
                 // through the rest at this server.
-                let (entries, next) = self.dentries.list_page(dir, None, self.list_page_max);
+                let (entries, next) = self.dentries.list_page(dir, None, self.cfg.list_page_max);
                 ctx.extra += 400 + 25 * entries.len() as u64;
                 // The readdir_plus fusion: stat every listed entry whose
                 // inode this server stores, so those entries need no
@@ -1482,68 +1449,6 @@ impl Server {
         }
     }
 
-    /// The fused-create terminal's create half: makes `name` in `dir` —
-    /// known absent, live, and owned here — as a regular file with an open
-    /// descriptor, all in the current chain hop. Mirrors the coalesced
-    /// [`Server::op_create`] body (inode, dentry with invalidations and
-    /// tracking, descriptor) and is priced like it: the standalone
-    /// coalesced Create's base (900) plus its ADD_MAP half (300), charged
-    /// as chain extra since the chain envelope never pre-paid them.
-    fn terminal_create(
-        &mut self,
-        client: ClientId,
-        dir: InodeId,
-        name: &str,
-        flags: OpenFlags,
-        mode: Mode,
-        ctx: &mut Ctx,
-    ) -> (PathEntry, InodeId, OpenResult) {
-        let num = self.inodes.alloc(
-            mode,
-            InodeKind::File {
-                blocks: Vec::new(),
-                size: 0,
-            },
-        );
-        let ino = InodeId {
-            server: self.id,
-            num,
-        };
-        let val = DentryVal {
-            target: ino,
-            ftype: FileType::Regular,
-            dist: false,
-        };
-        // The walk just observed the name absent; the server is
-        // single-threaded so this cannot race.
-        self.dentries
-            .insert(dir, name, val, false)
-            .expect("entry checked absent");
-        // Clients holding a cached ENOENT for this name must hear about
-        // the creation (negative dentry invalidation).
-        if self.neg_dircache {
-            self.queue_invals(client, dir, name, ctx);
-        }
-        self.track_entry(dir, name, client, ctx);
-        self.replica_fanout(dir, name, Some(val), ctx);
-        ctx.extra += 900 + 300;
-        let fd = self.fds.open(num, FdKind::File, flags);
-        self.inodes.get_mut(num).expect("just created").open_fds += 1;
-        let open = OpenResult {
-            fd: FdId(fd),
-            size: 0,
-            blocks: Vec::new(),
-            extent: self.extent_of(num),
-        };
-        let entry = PathEntry {
-            target: ino,
-            ftype: FileType::Regular,
-            dist: false,
-            replica: false,
-        };
-        (entry, ino, open)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn op_add_map(
         &mut self,
@@ -1569,7 +1474,7 @@ impl Server {
         // not just replacements: clients may hold *negative* entries for
         // the name (they probed it and cached the ENOENT) and must
         // re-resolve now that it exists.
-        if replaced.is_some() || self.neg_dircache {
+        if replaced.is_some() || self.cfg.techniques.neg_dircache {
             self.queue_invals(client, dir, name, ctx);
         }
         self.track_entry(dir, name, client, ctx);
@@ -1616,8 +1521,8 @@ impl Server {
         // *different* replica (or the home): the cursor is an entry name,
         // not a copy-local position.
         let bound = match max {
-            0 => self.list_page_max,
-            m => (m as usize).min(self.list_page_max),
+            0 => self.cfg.list_page_max,
+            m => (m as usize).min(self.cfg.list_page_max),
         };
         if let Some((entries, next)) = self.replicas.list_page(dir, after, bound) {
             ctx.extra += 25 * entries.len() as u64;
@@ -1772,37 +1677,62 @@ impl Server {
                 return Err(Errno::EEXIST);
             }
         }
+        if ftype == FileType::Pipe {
+            return Err(Errno::EINVAL);
+        }
+        let entry = add_map.as_ref().map(|(dir, name)| (*dir, name.as_str()));
+        let (ino, open) = self.create_here(client, ftype, mode, dist, entry, open, ctx);
+        Ok(Reply::Created { ino, open })
+    }
+
+    /// The one create body, shared by the standalone [`Request::Create`]
+    /// and a chain's `Create` terminal: allocates a file or directory
+    /// inode here and, given `entry`, inserts its dentry `(dir, name)` —
+    /// checked absent, live and owned here by the caller — with the
+    /// invalidations, tracking and replica updates of any insert (the
+    /// coalesced ADD_MAP half, 300 cycles). A new regular file gets a
+    /// descriptor when `open` asks for one.
+    #[allow(clippy::too_many_arguments)]
+    fn create_here(
+        &mut self,
+        client: ClientId,
+        ftype: FileType,
+        mode: Mode,
+        dist: bool,
+        entry: Option<(InodeId, &str)>,
+        open: Option<OpenFlags>,
+        ctx: &mut Ctx,
+    ) -> (InodeId, Option<OpenResult>) {
         let kind = match ftype {
-            FileType::Regular => InodeKind::File {
+            FileType::Directory => InodeKind::Dir { dist },
+            _ => InodeKind::File {
                 blocks: Vec::new(),
                 size: 0,
             },
-            FileType::Directory => InodeKind::Dir { dist },
-            FileType::Pipe => return Err(Errno::EINVAL),
         };
         let num = self.inodes.alloc(mode, kind);
         let ino = InodeId {
             server: self.id,
             num,
         };
-        if let Some((dir, name)) = &add_map {
+        if let Some((dir, name)) = entry {
             let val = DentryVal {
                 target: ino,
                 ftype,
                 dist,
             };
-            // Checked above; the server is single-threaded so this cannot
-            // race.
+            // Checked by the caller; the server is single-threaded so
+            // this cannot race.
             self.dentries
-                .insert(*dir, name, val, false)
+                .insert(dir, name, val, false)
                 .expect("entry checked absent");
             // Clients holding a cached ENOENT for this name must hear
             // about the creation (negative dentry invalidation).
-            if self.neg_dircache {
-                self.queue_invals(client, *dir, name, ctx);
+            if self.cfg.techniques.neg_dircache {
+                self.queue_invals(client, dir, name, ctx);
             }
-            self.track_entry(*dir, name, client, ctx);
-            self.replica_fanout(*dir, name, Some(val), ctx);
+            self.track_entry(dir, name, client, ctx);
+            self.replica_fanout(dir, name, Some(val), ctx);
             ctx.extra += 300; // coalesced ADD_MAP work
         }
         let open = match open {
@@ -1818,7 +1748,7 @@ impl Server {
             }
             _ => None,
         };
-        Ok(Reply::Created { ino, open })
+        (ino, open)
     }
 
     fn op_open(&mut self, num: u64, flags: OpenFlags, ctx: &mut Ctx) -> WireReply {
@@ -1875,8 +1805,8 @@ impl Server {
                 server: self.id,
                 num,
             },
-            self.stripe_unit,
-            self.stripe_width,
+            self.cfg.stripe_unit,
+            self.cfg.stripe_width,
             self.peers.len(),
         )
     }
@@ -2327,7 +2257,7 @@ impl Server {
 
     fn op_pipe_create(&mut self) -> WireReply {
         let num = self.inodes.alloc(Mode(0o600), InodeKind::Pipe);
-        self.pipes.insert(num, Pipe::new(self.pipe_capacity));
+        self.pipes.insert(num, Pipe::new(self.cfg.pipe_capacity));
         let rfd = self.fds.open(num, FdKind::PipeRead, OpenFlags::RDONLY);
         let wfd = self.fds.open(num, FdKind::PipeWrite, OpenFlags::WRONLY);
         self.inodes.get_mut(num).expect("just created").open_fds += 2;

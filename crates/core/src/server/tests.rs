@@ -11,7 +11,12 @@ struct Harness {
 
 impl Harness {
     fn new() -> Self {
-        let cfg = HareConfig::timeshare(2);
+        let mut cfg = HareConfig::timeshare(2);
+        cfg.dram_blocks = 2 * 64;
+        cfg.root_distributed = false;
+        cfg.pipe_capacity = 16;
+        cfg.dir_shard_width = 1;
+        let cfg = Arc::new(cfg.normalized());
         let machine = Machine::new(&cfg);
         // A single-server peer table (no forwarding possible, but routing
         // still needs the server count).
@@ -21,25 +26,7 @@ impl Harness {
             core: 0,
             tx: self_tx,
         }]);
-        let server = Server::new(
-            Arc::clone(&machine),
-            ServerParams {
-                id: 0,
-                core: 0,
-                partition_start: 0,
-                partition_len: 64,
-                root_distributed: false,
-                pipe_capacity: 16,
-                neg_dircache: true,
-                track_capacity: 8192,
-                peers,
-                distribution: true,
-                stripe_unit: 64 * 1024,
-                stripe_width: 1,
-                dir_shard_width: 1,
-                list_page_max: 4096,
-            },
-        );
+        let server = Server::new(Arc::clone(&machine), cfg, 0, peers);
         Harness { server, machine }
     }
 
@@ -646,6 +633,57 @@ fn single_lookup_terminals_cost_and_semantics() {
             assert_eq!(trackers.contains(&2), served == Served::Home, "{case}");
         }
     }
+}
+
+#[test]
+fn coalesced_and_chained_creates_charge_the_same_create() {
+    let mut h = Harness::new();
+    // The creator's core shares this server's socket, so a chain that
+    // misses its final component under a Create terminal creates it here.
+    let (itx, _irx) = msg::channel::<Invalidation>(Arc::clone(&h.machine.msg_stats));
+    h.must(Request::Register {
+        client: 1,
+        core: 1,
+        inval: itx,
+    });
+    let mode = Mode::default();
+    // The standalone coalesced Create: its base plus the ADD_MAP half.
+    let (reply, charged) = h.req_charged(Request::Create {
+        client: 1,
+        ftype: FileType::Regular,
+        mode,
+        dist: false,
+        add_map: Some((InodeId::ROOT, "a".into())),
+        open: Some(OpenFlags::RDWR),
+    });
+    assert!(matches!(
+        reply,
+        Some(Ok(Reply::Created { open: Some(_), .. }))
+    ));
+    assert_eq!(charged, 900 + 300);
+    // The chained form: the envelope, the final component's lookup, and
+    // the same create, charged as chain extra.
+    let (reply, charged) = h.req_charged(Request::LookupPath {
+        client: 1,
+        dir: InodeId::ROOT,
+        dist: false,
+        comps: vec!["b".into()],
+        acc: Vec::new(),
+        hops: 0,
+        terminal: TerminalOp::Create {
+            flags: OpenFlags::RDWR | OpenFlags::CREAT,
+            mode,
+        },
+    });
+    match reply {
+        Some(Ok(Reply::Path {
+            entries,
+            stopped: None,
+            term: Some(TerminalReply::Created { ino, .. }),
+        })) => assert_eq!(entries.last().map(|e| e.target), Some(ino)),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(charged, 300 + 600 + 900 + 300);
 }
 
 #[test]

@@ -8,6 +8,7 @@
 use fsapi::{Errno, MkdirOpts, Mode, OpenFlags, ProcFs};
 use hare_core::placement::{RebalanceAction, RebalanceCadence, RebalancePolicy, Rebalancer};
 use hare_core::{dentry_shard, ClientLib, HareConfig, HareInstance, InodeId, Techniques};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One immediate rebalancing pass: probe every server, act on the first
@@ -283,6 +284,24 @@ fn new_creations_under_migrated_directory_coalesce_at_the_new_owner() {
     c.stat("/hot").unwrap(); // learn nothing yet: /hot's entry is in root
     fsapi::write_file(&c, "/hot/fresh", b"z").unwrap();
     assert_eq!(c.stat("/hot/fresh").unwrap().server, to);
+
+    // A mkdir by a client whose route is stale: its coalesced Create
+    // bounces once at the old owner (before any inode is allocated), and
+    // the retry coalesces the new directory at the new owner.
+    let stale = inst.new_client(0).unwrap();
+    stale.stat("/hot").unwrap();
+    let m = inst.machine();
+    let bounces = || m.events.not_owner_bounces.load(Ordering::Relaxed);
+    let (sends, bounced) = (m.msg_stats.sends(), bounces());
+    stale.mkdir("/hot/sub", Mode::default()).unwrap();
+    assert_eq!(bounces() - bounced, 1, "one NotOwner bounce");
+    assert_eq!(
+        m.msg_stats.sends() - sends,
+        2 * 2,
+        "bounce + coalesced retry"
+    );
+    assert_eq!(stale.stat("/hot/sub").unwrap().server, to);
+    drop(stale);
     drop(c);
     drop(admin);
     inst.shutdown();

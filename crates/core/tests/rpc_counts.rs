@@ -8,6 +8,7 @@
 
 use fsapi::{Errno, MkdirOpts, Mode, OpenFlags, ProcFs};
 use hare_core::{HareConfig, HareInstance, Techniques};
+use vtime::Topology;
 
 /// Message sends for one cold-cache `open(O_RDONLY)` of `/d1/d2/f` on a
 /// single-server machine (dentry shard and inode server always coincide).
@@ -413,11 +414,11 @@ struct Cost {
 }
 
 /// The first root entry name with prefix `prefix` whose dentry shard is
-/// `want` on a 4-server machine.
-fn root_name_on(prefix: &str, want: u16) -> String {
+/// `want` on a machine of `nservers` servers.
+fn root_name_on(prefix: &str, want: u16, nservers: usize) -> String {
     (0..)
         .map(|i| format!("{prefix}{i}"))
-        .find(|n| hare_core::dentry_shard(hare_core::InodeId::ROOT, true, n, 4) == want)
+        .find(|n| hare_core::dentry_shard(hare_core::InodeId::ROOT, true, n, nservers) == want)
         .expect("some name hashes to every shard")
 }
 
@@ -431,9 +432,9 @@ fn transport_costs(techniques: Techniques) -> [Cost; 3] {
     let inst = HareInstance::start(cfg);
     let setup = inst.new_client(0).unwrap();
     for s in 0..4 {
-        fsapi::write_file(&setup, &format!("/{}", root_name_on("f", s)), b"x").unwrap();
+        fsapi::write_file(&setup, &format!("/{}", root_name_on("f", s, 4)), b"x").unwrap();
     }
-    let (src, dst) = (root_name_on("src", 0), root_name_on("dst", 1));
+    let (src, dst) = (root_name_on("src", 0, 4), root_name_on("dst", 1, 4));
     fsapi::write_file(&setup, &format!("/{src}"), b"x").unwrap();
     drop(setup);
 
@@ -500,4 +501,168 @@ fn transport_pin_fan_outs_per_config() {
     for (name, techniques, want) in table {
         assert_eq!(transport_costs(techniques), want, "{name}");
     }
+}
+
+/// What one create costs on a two-socket 8-server timeshare machine
+/// (sockets of four cores), from a cold client on core 0 (socket 0). The
+/// root is distributed, so `shard` picks the server holding the new
+/// entry: servers 0–3 share the creator's socket, so the inode is
+/// coalesced with the entry in one `Create`; servers 4–7 do not, so
+/// creation affinity places the inode on the creator's local server and
+/// the entry follows as an `AddMap`. With `present`, another client made
+/// the name first.
+fn create_cost(dir: bool, shard: u16, present: bool) -> (Result<(), Errno>, Cost) {
+    let mut cfg = HareConfig::timeshare(8);
+    cfg.topology = Topology::new(2, 4);
+    let inst = HareInstance::start(cfg);
+    let path = format!("/{}", root_name_on("n", shard, 8));
+    if present {
+        let setup = inst.new_client(0).unwrap();
+        if dir {
+            setup.mkdir(&path, Mode::default()).unwrap();
+        } else {
+            fsapi::write_file(&setup, &path, b"x").unwrap();
+        }
+        drop(setup);
+    }
+    let c = inst.new_client(0).unwrap();
+    let m = inst.machine();
+    let (sends, batched, vtime) = (m.msg_stats.sends(), m.msg_stats.batched_ops(), c.vnow());
+    let out = if dir {
+        c.mkdir(&path, Mode::default())
+    } else {
+        let flags = OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::EXCL;
+        c.open(&path, flags, Mode::default()).map(|_| ())
+    };
+    let cost = Cost {
+        sends: m.msg_stats.sends() - sends,
+        batched: m.msg_stats.batched_ops() - batched,
+        vtime: c.vnow() - vtime,
+    };
+    drop(c);
+    inst.shutdown();
+    (out, cost)
+}
+
+#[test]
+fn create_pin_placements_and_existing_names() {
+    // File, coalesced: one Create carrying the entry and the open; an
+    // existing name fails that Create with EEXIST before any inode is
+    // allocated, and the O_EXCL retry path then caches the winner with
+    // one Lookup. File, affinity: a name not known absent is probed first
+    // (a failing cross-server create would orphan an inode), so a fresh
+    // name costs Lookup + Create + AddMap and an existing one only the
+    // Lookup. Directory, coalesced: one Create either way. Directory,
+    // affinity: Create at the local server + AddMap at the shard; an
+    // existing name fails the AddMap, and the orphaned inode is undone
+    // with a LinkDecref.
+    let c = |sends, batched, vtime| Cost {
+        sends,
+        batched,
+        vtime,
+    };
+    let table = [
+        (
+            "file coalesced fresh",
+            false,
+            1,
+            false,
+            Ok(()),
+            c(2, 0, 4720),
+        ),
+        (
+            "file coalesced present",
+            false,
+            1,
+            true,
+            Err(Errno::EEXIST),
+            c(4, 0, 8240),
+        ),
+        (
+            "file affinity fresh",
+            false,
+            5,
+            false,
+            Ok(()),
+            c(6, 0, 14431),
+        ),
+        (
+            "file affinity present",
+            false,
+            5,
+            true,
+            Err(Errno::EEXIST),
+            c(2, 0, 5120),
+        ),
+        ("dir coalesced fresh", true, 1, false, Ok(()), c(2, 0, 4600)),
+        (
+            "dir coalesced present",
+            true,
+            1,
+            true,
+            Err(Errno::EEXIST),
+            c(2, 0, 4300),
+        ),
+        ("dir affinity fresh", true, 5, false, Ok(()), c(4, 0, 9611)),
+        (
+            "dir affinity present",
+            true,
+            5,
+            true,
+            Err(Errno::EEXIST),
+            c(6, 0, 13011),
+        ),
+    ];
+    for (name, dir, shard, present, out, cost) in table {
+        assert_eq!(create_cost(dir, shard, present), (out, cost), "{name}");
+    }
+}
+
+/// Sends of a `readdir` of an 8-file directory made with `opts` on 4
+/// servers, by a client that already resolved the directory (so the
+/// listing is the `ListShard` fan-out alone), and of a cold chained
+/// `stat` of one of its entries. Also returns the listing's length.
+fn dir_listing_sends(techniques: Techniques, opts: MkdirOpts) -> (u64, u64, usize) {
+    let mut cfg = HareConfig::timeshare(4);
+    cfg.techniques = techniques;
+    let inst = HareInstance::start(cfg);
+    let setup = inst.new_client(0).unwrap();
+    setup
+        .mkdir_opts("/top", Mode::default(), MkdirOpts::CENTRALIZED)
+        .unwrap();
+    setup.mkdir_opts("/top/d", Mode::default(), opts).unwrap();
+    for i in 0..8 {
+        fsapi::write_file(&setup, &format!("/top/d/f{i}"), b"x").unwrap();
+    }
+    drop(setup);
+    let m = inst.machine();
+    let c = inst.new_client(0).unwrap();
+    c.stat("/top/d").unwrap();
+    let before = m.msg_stats.sends();
+    let listed = c.readdir("/top/d").unwrap().len();
+    let list = m.msg_stats.sends() - before;
+    drop(c);
+    let c = inst.new_client(0).unwrap();
+    let before = m.msg_stats.sends();
+    c.stat("/top/d/f3").unwrap();
+    let stat = m.msg_stats.sends() - before;
+    drop(c);
+    inst.shutdown();
+    (list, stat, listed)
+}
+
+#[test]
+fn distribution_off_makes_a_distributed_request_centralized() {
+    // With distribution off, a directory asked for as DISTRIBUTED is
+    // centralized at its home: its listing is the home's one shard, and
+    // resolving through it routes every entry to the home, exactly like a
+    // CENTRALIZED directory under the default techniques.
+    let off = dir_listing_sends(Techniques::without("distribution"), MkdirOpts::DISTRIBUTED);
+    let central = dir_listing_sends(Techniques::default(), MkdirOpts::CENTRALIZED);
+    assert_eq!(off, (2, 2, 8));
+    assert_eq!(off, central);
+    // The same directory distributed under the default techniques fans
+    // the listing out over every shard.
+    let spread = dir_listing_sends(Techniques::default(), MkdirOpts::DISTRIBUTED);
+    assert_eq!(spread, (8, 3, 8));
 }

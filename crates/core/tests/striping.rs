@@ -224,10 +224,9 @@ fn fused_create_is_one_exchange_on_a_chained_path() {
 fn data_plane_toggles_off_reproduce_the_paper_layout_counts() {
     // The whole scripted workload — create, striped-sized writes, cold
     // re-open, chunked reads, stat, unlink — must cost byte-for-byte the
-    // same message count with (a) the default all-blocks-home layout,
-    // (b) stripe_width set but the striping toggle off, and (c) the
-    // readahead toggle off at width 1. The striped run (d) must differ:
-    // the toggle is live, the others prove it is inert.
+    // same message count with (a) the default all-blocks-home layout and
+    // (b) readahead window 1 at width 1. The striped run (c) must differ:
+    // the width is live, the window is inert without it.
     let count = |cfg: HareConfig| {
         let inst = HareInstance::start(cfg);
         let c = inst.new_client(0).unwrap();
@@ -245,12 +244,8 @@ fn data_plane_toggles_off_reproduce_the_paper_layout_counts() {
         sends
     };
     let base = count(HareConfig::timeshare(4));
-    let mut off = HareConfig::timeshare(4);
-    off.stripe_width = 4;
-    off.techniques = Techniques::without("striping");
-    assert_eq!(count(off), base, "striping off must be the seed protocol");
     let mut no_ra = HareConfig::timeshare(4);
-    no_ra.techniques = Techniques::without("readahead");
+    no_ra.readahead_window = 1;
     assert_eq!(count(no_ra), base, "readahead is inert at width 1");
     let mut on = HareConfig::timeshare(4);
     on.stripe_width = 4;
